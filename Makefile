@@ -4,7 +4,7 @@ GO ?= go
 # version (see .github/workflows/ci.yml).
 STATICCHECK_VERSION := $(shell cat scripts/staticcheck_version.txt)
 
-.PHONY: build test race racestress bench fmt vet docs lint coverage benchgate largengate load loadgate fuzz crashsmoke ci clean
+.PHONY: build test race racestress bench benchmod fmt vet docs lint coverage benchgate largengate load loadgate fuzz crashsmoke ci clean
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,11 @@ racestress:
 # hover near 1.0x by physics).
 bench:
 	$(GO) run ./cmd/ksprbench -json -name core -scale 0.5 -queries 20 -parallel 4 -batch 8 -mutate 48 -whatif 16 -n 1000000
+
+# benchmod vets and tests the repo benchmark's own module: perfbench/ is a
+# nested Go module, so the root `go test ./...` does not reach it.
+benchmod:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 fmt:
 	gofmt -l .
@@ -111,15 +116,16 @@ crashsmoke:
 	$(GO) run ./scripts/crashsmoke
 
 # ci mirrors the GitHub workflow locally: formatting, vet, build, race
-# tests, doc gates, the crash-recovery smoke test, lint, the coverage
-# floor, the bench regression gate, the large-N regression gate, a short
-# fuzz smoke, and the load regression gate.
+# tests, the benchmark module's tests, doc gates, the crash-recovery smoke
+# test, lint, the coverage floor, the bench regression gate, the large-N
+# regression gate, a short fuzz smoke, and the load regression gate.
 ci:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(MAKE) racestress
+	$(MAKE) benchmod
 	./scripts/check_links.sh
 	./scripts/check_docs.sh
 	$(MAKE) crashsmoke

@@ -35,12 +35,13 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"time"
 
 	kspr "repro"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -326,8 +327,7 @@ func runBenchJSON(name, dist string, d, k int, scale float64, queries int, seed 
 		}
 		sum.Algorithms[a.label] = ns
 		if recordTails {
-			sum.AlgorithmsP95[a.label] = tailNs(lats, 0.95)
-			sum.AlgorithmsP99[a.label] = tailNs(lats, 0.99)
+			sum.AlgorithmsP95[a.label], sum.AlgorithmsP99[a.label] = tails(lats)
 			fmt.Printf("%-10s %12d ns/op (p95 %d, p99 %d)\n",
 				a.label, ns, sum.AlgorithmsP95[a.label], sum.AlgorithmsP99[a.label])
 		} else {
@@ -430,8 +430,7 @@ func runBenchJSON(name, dist string, d, k int, scale float64, queries int, seed 
 	}
 	sum.Algorithms["approx"] = approxTotal / int64(len(focals))
 	if recordTails {
-		sum.AlgorithmsP95["approx"] = tailNs(approxLats, 0.95)
-		sum.AlgorithmsP99["approx"] = tailNs(approxLats, 0.99)
+		sum.AlgorithmsP95["approx"], sum.AlgorithmsP99["approx"] = tails(approxLats)
 		fmt.Printf("%-10s %12d ns/op (p95 %d, p99 %d)\n",
 			"approx", sum.Algorithms["approx"], sum.AlgorithmsP95["approx"], sum.AlgorithmsP99["approx"])
 	} else {
@@ -447,22 +446,14 @@ func runBenchJSON(name, dist string, d, k int, scale float64, queries int, seed 
 // the sample max.
 const minTailQueries = 20
 
-// tailNs is the nearest-rank p-quantile of the latency samples
-// (rank ceil(p*n), clamped), matching the serving histogram's estimator.
-func tailNs(lats []int64, p float64) int64 {
+// tails returns the p95 and p99 of the latency samples by the serving
+// layer's nearest-rank rule (obs.NearestRank).
+func tails(lats []int64) (p95, p99 int64) {
 	if len(lats) == 0 {
-		return 0
+		return 0, 0
 	}
-	sorted := append([]int64(nil), lats...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := int(math.Ceil(p * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
+	sorted := slices.Sorted(slices.Values(lats))
+	return sorted[obs.NearestRank(0.95, len(sorted))-1], sorted[obs.NearestRank(0.99, len(sorted))-1]
 }
 
 // writeBenchFile renders the summary to BENCH_<name>.json.

@@ -11,7 +11,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 )
@@ -33,29 +32,7 @@ type flightEnvelope struct {
 // fetchFlight reads /v1/debug:flight (with an optional raw query string)
 // and returns the raw JSON body.
 func (r *runner) fetchFlight(query string) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	url := r.base + "/v1/debug:flight"
-	if query != "" {
-		url += "?" + query
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("fetching %s: %w", url, err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s returned %d: %s", url, resp.StatusCode, raw)
-	}
-	return raw, nil
+	return r.getDebug("/v1/debug:flight?" + query)
 }
 
 // flightEvidence fetches the offending wide events (errors plus the slow

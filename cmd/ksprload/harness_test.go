@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestParseMix(t *testing.T) {
@@ -57,7 +59,15 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestTailNsNearestRank pins the rule digest reads tails by: the sample
+// at nearest rank ceil(p*n), obs.NearestRank.
 func TestTailNsNearestRank(t *testing.T) {
+	tailNs := func(sorted []int64, p float64) int64 {
+		if r := obs.NearestRank(p, len(sorted)); r > 0 {
+			return sorted[r-1]
+		}
+		return 0
+	}
 	if got := tailNs(nil, 0.99); got != 0 {
 		t.Fatalf("empty tail = %d, want 0", got)
 	}

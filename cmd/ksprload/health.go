@@ -53,7 +53,8 @@ func (r *runner) fetchHealth() (*healthCheckWire, error) {
 	return &h, nil
 }
 
-// getDebug is a small GET helper for the debug read endpoints.
+// getDebug GETs a read endpoint (/metrics, the /v1/debug:* reads) and
+// returns its body, failing on any status but 200.
 func (r *runner) getDebug(path string) ([]byte, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -36,17 +36,18 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -405,27 +406,11 @@ type loadSummary struct {
 	FlightEvidence json.RawMessage `json:"flight_evidence,omitempty"`
 }
 
-// tailNs is the nearest-rank p-quantile over latency samples.
-func tailNs(sorted []int64, p float64) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(math.Ceil(p * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
-}
-
 func digest(lats []int64) latencySummary {
 	if len(lats) == 0 {
 		return latencySummary{}
 	}
-	sorted := append([]int64(nil), lats...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Sorted(slices.Values(lats))
 	var total int64
 	for _, v := range sorted {
 		total += v
@@ -433,9 +418,9 @@ func digest(lats []int64) latencySummary {
 	return latencySummary{
 		Count:  uint64(len(sorted)),
 		MeanNs: total / int64(len(sorted)),
-		P50Ns:  tailNs(sorted, 0.50),
-		P95Ns:  tailNs(sorted, 0.95),
-		P99Ns:  tailNs(sorted, 0.99),
+		P50Ns:  sorted[obs.NearestRank(0.50, len(sorted))-1],
+		P95Ns:  sorted[obs.NearestRank(0.95, len(sorted))-1],
+		P99Ns:  sorted[obs.NearestRank(0.99, len(sorted))-1],
 	}
 }
 

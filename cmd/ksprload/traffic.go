@@ -126,17 +126,16 @@ func (r *runner) loadDatasets() error {
 
 // budgetSlots reads cpu.extra_slots from /metrics.
 func (r *runner) budgetSlots() (int, error) {
-	resp, err := r.client.Get(r.base + "/metrics")
+	raw, err := r.getDebug("/metrics")
 	if err != nil {
-		return 0, fmt.Errorf("read /metrics: %w", err)
+		return 0, err
 	}
-	defer resp.Body.Close()
 	var m struct {
 		CPU struct {
 			ExtraSlots int `json:"extra_slots"`
 		} `json:"cpu"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+	if err := json.Unmarshal(raw, &m); err != nil {
 		return 0, fmt.Errorf("decode /metrics: %w", err)
 	}
 	return m.CPU.ExtraSlots, nil

@@ -79,6 +79,9 @@ func RunApprox(tree *rtree.Tree, focal geom.Vector, focalID int, opts ApproxOpti
 	if len(focal) != tree.Dim {
 		return nil, fmt.Errorf("core: focal record has %d dims, index has %d", len(focal), tree.Dim)
 	}
+	if err := geom.CheckFinite(focal); err != nil {
+		return nil, fmt.Errorf("core: focal record: %w", err)
+	}
 	if opts.Epsilon <= 0 {
 		opts.Epsilon = 0.01
 	}

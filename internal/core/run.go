@@ -55,6 +55,9 @@ func runQuery(tree *rtree.Tree, focal geom.Vector, focalID int, opts Options,
 	if len(focal) != tree.Dim {
 		return nil, fmt.Errorf("core: focal record has %d dims, index has %d", len(focal), tree.Dim)
 	}
+	if err := geom.CheckFinite(focal); err != nil {
+		return nil, fmt.Errorf("core: focal record: %w", err)
+	}
 	if tree.Dim < 2 {
 		return nil, fmt.Errorf("core: kSPR needs at least 2 data dimensions")
 	}

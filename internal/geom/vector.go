@@ -40,6 +40,19 @@ func (v Vector) Dot(u Vector) float64 {
 	return s
 }
 
+// CheckFinite returns an error naming the first NaN or ±Inf in v. It is
+// the one finiteness rule: kspr.Open, dataset.ReadCSV, the store's
+// insert/update path and the engine's focal-vector entry all apply it, so
+// no non-finite value reaches an index or a query.
+func CheckFinite(v []float64) error {
+	for i, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("values must be finite, got %v at attribute %d", x, i)
+		}
+	}
+	return nil
+}
+
 // Sum returns the sum of the components of v.
 func (v Vector) Sum() float64 {
 	var s float64

@@ -65,31 +65,25 @@ func (h *Histogram) Observe(d time.Duration) {
 // sum by in-flight samples; consumers should treat the bucket counts as
 // authoritative.
 func (h *Histogram) Snapshot() HistSnapshot {
-	s := HistSnapshot{
-		Bounds: h.bounds,
-		Counts: make([]uint64, len(h.counts)),
-		Count:  h.count.Load(),
-		SumNs:  h.sumNs.Load(),
-	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
+	var s HistSnapshot
+	h.SnapshotInto(&s)
 	return s
 }
 
-// CopyCounts copies the per-bucket counts into dst without allocating,
-// returning how many buckets were copied (min of len(dst) and the bucket
-// count, bounds plus the +Inf bucket). The sampler's alternative to
-// Snapshot.
-func (h *Histogram) CopyCounts(dst []uint64) int {
-	n := len(h.counts)
-	if n > len(dst) {
-		n = len(dst)
+// SnapshotInto is Snapshot into caller-owned storage: s.Counts is reused
+// when it has room, so a caller that keeps s across reads allocates
+// nothing in steady state.
+func (h *Histogram) SnapshotInto(s *HistSnapshot) {
+	if cap(s.Counts) < len(h.counts) {
+		s.Counts = make([]uint64, len(h.counts))
 	}
-	for i := 0; i < n; i++ {
-		dst[i] = h.counts[i].Load()
+	s.Bounds = h.bounds
+	s.Counts = s.Counts[:len(h.counts)]
+	s.Count = h.count.Load()
+	s.SumNs = h.sumNs.Load()
+	for i := range h.counts {
+		s.Counts[i] = h.counts[i].Load()
 	}
-	return n
 }
 
 // HistSnapshot is an immutable copy of a Histogram, suitable for
@@ -114,29 +108,32 @@ func (s HistSnapshot) Total() uint64 {
 	return n
 }
 
+// NearestRank is the one quantile rule of this repository: the 1-based
+// rank ceil(p·n) of the p-quantile among n ordered samples, clamped to
+// [1, n]; 0 when n is 0. Over sorted samples the quantile is
+// sorted[NearestRank(p, len(sorted))-1]; over bucket counts it is the
+// bucket whose cumulative count first reaches the rank (HistSnapshot.
+// Quantile).
+func NearestRank(p float64, n int) int {
+	if n <= 0 {
+		return 0
+	}
+	return min(max(int(math.Ceil(p*float64(n))), 1), n)
+}
+
 // Quantile estimates the p-quantile (p in [0,1]) as the upper bound of
 // the bucket holding the nearest-rank sample, in seconds. Samples landing
 // in the +Inf bucket report the largest finite bound (the histogram can't
 // resolve beyond its range). An empty snapshot reports 0.
 func (s HistSnapshot) Quantile(p float64) float64 {
-	total := s.Total()
-	if total == 0 || len(s.Bounds) == 0 {
+	rank := uint64(NearestRank(p, int(s.Total())))
+	if rank == 0 || len(s.Bounds) == 0 {
 		return 0
-	}
-	rank := uint64(math.Ceil(p * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
 	}
 	var cum uint64
 	for i, c := range s.Counts {
 		cum += c
-		if cum >= rank {
-			if i >= len(s.Bounds) {
-				return s.Bounds[len(s.Bounds)-1]
-			}
+		if cum >= rank && i < len(s.Bounds) {
 			return s.Bounds[i]
 		}
 	}

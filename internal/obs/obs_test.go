@@ -155,6 +155,60 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
+// TestNearestRank pins the one quantile rule: rank ceil(p·n) clamped to
+// [1, n], the same rank over sorted samples and over bucket counts.
+func TestNearestRank(t *testing.T) {
+	if got := NearestRank(0.5, 0); got != 0 {
+		t.Fatalf("empty rank = %d, want 0", got)
+	}
+	cases := []struct {
+		p    float64
+		n    int
+		want int
+	}{
+		{0.50, 1, 1}, {0.99, 1, 1}, {0, 1, 1},
+		{0.50, 2, 1}, {0.51, 2, 2}, {1.0, 2, 2},
+		{0.50, 10, 5}, {0.95, 10, 10}, {0.10, 10, 1}, {0, 10, 1},
+		{0.95, 20, 19}, {0.99, 100, 99}, {0.999, 100, 100},
+	}
+	for _, c := range cases {
+		if got := NearestRank(c.p, c.n); got != c.want {
+			t.Errorf("NearestRank(%v, %d) = %d, want %d", c.p, c.n, got, c.want)
+		}
+	}
+	// The bucket reading agrees with the sorted-sample reading: one
+	// sample per bucket makes each bound a sample.
+	bounds := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	snap := HistSnapshot{Bounds: bounds, Counts: []uint64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0}}
+	for _, p := range []float64{0, 0.1, 0.25, 0.5, 0.95, 0.99, 1} {
+		if got, want := snap.Quantile(p), bounds[NearestRank(p, len(bounds))-1]; got != want {
+			t.Errorf("bucket p%v = %v, sorted-sample p%v = %v", p, got, p, want)
+		}
+	}
+}
+
+// TestSnapshotIntoReusesCounts checks that SnapshotInto matches Snapshot
+// and stops allocating once the caller's buffer is sized.
+func TestSnapshotIntoReusesCounts(t *testing.T) {
+	h := NewHistogram(nil)
+	h.Observe(3 * time.Millisecond)
+	h.Observe(40 * time.Millisecond)
+	var s HistSnapshot
+	h.SnapshotInto(&s)
+	want := h.Snapshot()
+	if s.Count != want.Count || s.SumNs != want.SumNs || len(s.Counts) != len(want.Counts) {
+		t.Fatalf("SnapshotInto %+v != Snapshot %+v", s, want)
+	}
+	for i := range s.Counts {
+		if s.Counts[i] != want.Counts[i] {
+			t.Fatalf("bucket %d: %d != %d", i, s.Counts[i], want.Counts[i])
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { h.SnapshotInto(&s) }); allocs != 0 {
+		t.Fatalf("SnapshotInto allocates %v/op with a sized buffer", allocs)
+	}
+}
+
 func TestPromWriterGolden(t *testing.T) {
 	var b strings.Builder
 	p := NewPromWriter(&b)

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"runtime/debug"
 	"runtime/metrics"
 )
@@ -68,40 +69,21 @@ func (r *RuntimeSampler) Sample() RuntimeStats {
 	return st
 }
 
-// histQuantileSeconds computes a nearest-rank quantile from a
-// runtime/metrics Float64Histogram, returning the upper bucket bound in
-// the histogram's own unit (seconds for pause histograms). Empty
+// histQuantileSeconds reads the nearest-rank quantile of a runtime/metrics
+// Float64Histogram as the upper bound of its bucket, in the histogram's
+// own unit (seconds for pause histograms). Buckets[i+1] is bucket i's
+// upper bound; a final +Inf bound is dropped so that bucket reports the
+// largest finite bound, as the +Inf bucket of a HistSnapshot does. Empty
 // histograms return 0.
 func histQuantileSeconds(h *metrics.Float64Histogram, q float64) float64 {
-	if h == nil {
+	if h == nil || len(h.Buckets) < 2 {
 		return 0
 	}
-	var total uint64
-	for _, c := range h.Counts {
-		total += c
+	bounds := h.Buckets[1:]
+	if n := len(bounds); n > 1 && math.IsInf(bounds[n-1], 1) {
+		bounds = bounds[:n-1]
 	}
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	var seen uint64
-	for i, c := range h.Counts {
-		seen += c
-		if c > 0 && seen > rank {
-			// Buckets[i+1] is the bucket's upper bound; the final bucket's
-			// bound may be +Inf, in which case the lower bound is the best
-			// finite answer.
-			up := h.Buckets[i+1]
-			if up > 1e18 || up != up { // +Inf or NaN guard
-				up = h.Buckets[i]
-			}
-			return up
-		}
-	}
-	return h.Buckets[len(h.Buckets)-1]
+	return HistSnapshot{Bounds: bounds, Counts: h.Counts}.Quantile(q)
 }
 
 // BuildInfo identifies the running binary: module version, Go toolchain,

@@ -252,6 +252,34 @@ func (ts *TimeSeries) Latest(name string) (t time.Time, v float64, ok bool) {
 	return time.Time{}, 0, false
 }
 
+// Baseline returns the sample a trailing-window rate is measured from: the
+// newest non-NaN sample at or before now-window, or the oldest one when
+// the ring does not reach back that far. ok=false when the series is
+// unknown or has no samples.
+func (ts *TimeSeries) Baseline(name string, window time.Duration, now time.Time) (t time.Time, v float64, ok bool) {
+	if ts == nil {
+		return time.Time{}, 0, false
+	}
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	sr := ts.series[name]
+	if sr == nil {
+		return time.Time{}, 0, false
+	}
+	cutoff := now.Add(-window).UnixNano()
+	for k := 0; k < ts.n; k++ {
+		idx := ts.at(k)
+		if math.IsNaN(sr.vals[idx]) {
+			continue
+		}
+		if ok && ts.times[idx] > cutoff {
+			break
+		}
+		t, v, ok = time.Unix(0, ts.times[idx]), sr.vals[idx], true
+	}
+	return t, v, ok
+}
+
 // DeltaSince returns how much a series grew over the trailing window
 // ending at now: the newest in-window sample minus the oldest, plus the
 // time span those samples actually cover. Counter resets (a restarted

@@ -124,6 +124,27 @@ func TestTimeSeriesRate(t *testing.T) {
 	}
 }
 
+func TestTimeSeriesBaseline(t *testing.T) {
+	ts := NewTimeSeries(time.Second, time.Minute)
+	if _, _, ok := ts.Baseline("req", time.Minute, t0); ok {
+		t.Fatal("baseline of an empty ring should be !ok")
+	}
+	fill(ts, 11, time.Second) // req = 10, 20, ..., 110 at t0+0s .. t0+10s
+	// The newest sample at or before now-window.
+	bt, v, ok := ts.Baseline("req", 4*time.Second, t0.Add(10*time.Second))
+	if !ok || v != 70 || !bt.Equal(t0.Add(6*time.Second)) {
+		t.Fatalf("baseline = %v at %v (ok=%v), want 70 at t0+6s", v, bt, ok)
+	}
+	// A window reaching past the ring falls back to the oldest sample.
+	bt, v, ok = ts.Baseline("req", time.Hour, t0.Add(10*time.Second))
+	if !ok || v != 10 || !bt.Equal(t0) {
+		t.Fatalf("baseline = %v at %v (ok=%v), want 10 at t0", v, bt, ok)
+	}
+	if _, _, ok := ts.Baseline("nope", time.Minute, t0); ok {
+		t.Fatal("baseline of unknown series should be !ok")
+	}
+}
+
 func TestTimeSeriesRangeStep(t *testing.T) {
 	// 30 ticks at 1s; step=10s keeps the LAST tick of each bucket so
 	// counter deltas across the downsampled points stay exact.

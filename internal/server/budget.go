@@ -82,11 +82,3 @@ func (b *CPUBudget) Slots() int { return int(b.slots) }
 
 // InUse reports how many extra slots are currently claimed.
 func (b *CPUBudget) InUse() int { return int(b.slots - b.avail.Load()) }
-
-// CPUStats is the /metrics view of the parallelism budget.
-type CPUStats struct {
-	// ExtraSlots is the budget size; InUse how many slots in-flight
-	// parallel queries currently hold.
-	ExtraSlots int `json:"extra_slots"`
-	InUse      int `json:"in_use"`
-}

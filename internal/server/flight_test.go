@@ -254,7 +254,16 @@ func TestWriteBlackBox(t *testing.T) {
 	if last.Type != obs.EventBlackBox {
 		t.Fatalf("final journal event type %q, want %q", last.Type, obs.EventBlackBox)
 	}
-	if bundle.Metrics.Requests == 0 || len(bundle.Metrics.ByEndpoint) == 0 {
+	var metrics struct {
+		Metrics struct {
+			Requests   uint64            `json:"requests_total"`
+			ByEndpoint map[string]uint64 `json:"requests_by_endpoint"`
+		} `json:"metrics"`
+	}
+	if err := json.Unmarshal(raw, &metrics); err != nil {
+		t.Fatal(err)
+	}
+	if metrics.Metrics.Requests == 0 || len(metrics.Metrics.ByEndpoint) == 0 {
 		t.Fatal("bundle carries no metrics snapshot")
 	}
 	if entries, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(entries) != 0 {

@@ -51,8 +51,8 @@ var endpointClasses = map[string]string{
 // sloClasses is the deterministic iteration order of the classes above.
 var sloClasses = []string{"query", "mutate"}
 
-// epSeriesNames precomputes one endpoint's history series names so the
-// per-tick point building never formats strings.
+// epSeriesNames names one endpoint's history series. They are built once,
+// when the endpoint is first seen, so the tick never formats strings.
 type epSeriesNames struct {
 	requests string
 	errors   string
@@ -60,13 +60,16 @@ type epSeriesNames struct {
 	p99      string
 }
 
-// classSeriesNames precomputes one class's aggregate counter series: total
-// requests plus one cumulative count per latency bucket (obs.
-// DefaultLatencyBuckets layout, +Inf last).
-type classSeriesNames struct {
+// classSeries is one SLO class in the ring: its aggregate request counter,
+// one cumulative counter per latency bucket (obs.DefaultLatencyBuckets
+// layout, +Inf last), and the derived windowed-p99 gauge. counts and total
+// are per-tick scratch.
+type classSeries struct {
 	requests string
 	buckets  []string
-	p99      string // derived windowed-p99 gauge series
+	p99      string
+	counts   []uint64
+	total    uint64
 }
 
 // sampler owns the telemetry history: the ring, the SLO engine, the
@@ -79,16 +82,18 @@ type sampler struct {
 	rt    *obs.RuntimeSampler
 	build obs.BuildInfo
 
-	// Reusable per-tick scratch: the metrics sample, the raw/derived point
-	// slices, precomputed series names, and per-class bucket accumulators.
-	sample    MetricsSample
-	raw       []obs.SamplePoint
-	derived   []obs.SamplePoint
-	epNames   map[string]*epSeriesNames
-	clsNames  map[string]*classSeriesNames
-	clsCounts map[string][]uint64
-	clsTotals map[string]uint64
-	deltas    []uint64 // class bucket deltas scratch for the p99 window
+	// classes maps each sloClasses name to its series.
+	classes map[string]*classSeries
+
+	// Reusable per-tick scratch: the metrics frame and endpoint rows, the
+	// global bucket sums, the raw/derived point slices, and the class
+	// bucket deltas of a trailing window.
+	frame   metricsFrame
+	rows    []endpointRow
+	total   []uint64
+	raw     []obs.SamplePoint
+	derived []obs.SamplePoint
+	deltas  []uint64
 
 	mu      sync.Mutex
 	verdict obs.HealthVerdict
@@ -102,7 +107,6 @@ type sampler struct {
 // already has one sample of every series.
 func newSampler(s *Server) *sampler {
 	cfg := s.cfg
-	var objectives []obs.Objective
 	avail := cfg.SLOAvailability
 	if avail == 0 {
 		avail = defaultSLOAvailability
@@ -117,32 +121,29 @@ func newSampler(s *Server) *sampler {
 	if bound < 0 {
 		bound = 0 // negative disables latency objectives
 	}
-	objectives = obs.DefaultObjectives(avail, bound, sloClasses)
 	sp := &sampler{
-		srv:       s,
-		ts:        obs.NewTimeSeries(cfg.HistoryInterval, cfg.HistoryRetention),
-		slo:       obs.NewSLOEngine(objectives, nil),
-		rt:        obs.NewRuntimeSampler(),
-		build:     obs.ReadBuildInfo(),
-		epNames:   map[string]*epSeriesNames{},
-		clsNames:  map[string]*classSeriesNames{},
-		clsCounts: map[string][]uint64{},
-		clsTotals: map[string]uint64{},
-		deltas:    make([]uint64, len(obs.DefaultLatencyBuckets)+1),
-		verdict:   obs.Verdict(nil),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		srv:     s,
+		ts:      obs.NewTimeSeries(cfg.HistoryInterval, cfg.HistoryRetention),
+		slo:     obs.NewSLOEngine(obs.DefaultObjectives(avail, bound, sloClasses), nil),
+		rt:      obs.NewRuntimeSampler(),
+		build:   obs.ReadBuildInfo(),
+		classes: map[string]*classSeries{},
+		total:   make([]uint64, len(obs.DefaultLatencyBuckets)+1),
+		deltas:  make([]uint64, len(obs.DefaultLatencyBuckets)+1),
+		verdict: obs.Verdict(nil),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	for _, class := range sloClasses {
-		names := &classSeriesNames{
+		cs := &classSeries{
 			requests: "class:" + class + ":requests",
 			p99:      "p99_ms:" + class,
+			counts:   make([]uint64, len(obs.DefaultLatencyBuckets)+1),
 		}
-		for i := 0; i <= len(obs.DefaultLatencyBuckets); i++ {
-			names.buckets = append(names.buckets, "class:"+class+":le"+strconv.Itoa(i))
+		for i := range cs.counts {
+			cs.buckets = append(cs.buckets, "class:"+class+":le"+strconv.Itoa(i))
 		}
-		sp.clsNames[class] = names
-		sp.clsCounts[class] = make([]uint64, len(obs.DefaultLatencyBuckets)+1)
+		sp.classes[class] = cs
 	}
 	sp.tick(time.Now())
 	return sp
@@ -192,76 +193,45 @@ func (sp *sampler) tick(now time.Time) {
 // TestRecordTickZeroAllocs.
 func (sp *sampler) recordTick(now time.Time) {
 	s := sp.srv
-	s.metrics.SampleInto(&sp.sample)
-	rt := sp.rt.Sample()
-	cache := s.cache.Stats()
+	s.readFrame(&sp.frame, now, sp.rt.Sample(), sp.qps1m(now))
+	sp.rows = s.metrics.readRows(sp.rows, sp.total)
 
 	sp.raw = sp.raw[:0]
-	addC := func(name string, v float64) {
-		sp.raw = append(sp.raw, obs.SamplePoint{Name: name, Kind: obs.KindCounter, Value: v})
+	add := func(name string, kind obs.SeriesKind, v float64) {
+		sp.raw = append(sp.raw, obs.SamplePoint{Name: name, Kind: kind, Value: v})
 	}
-	addG := func(name string, v float64) {
-		sp.raw = append(sp.raw, obs.SamplePoint{Name: name, Kind: obs.KindGauge, Value: v})
+	for _, d := range scalarMetrics {
+		add(d.series, d.kind, d.read(&sp.frame))
 	}
-	addC("requests_total", float64(sp.sample.Requests))
-	addC("errors_total", float64(sp.sample.Errors))
-	addC("responses_429_total", float64(sp.sample.Resp429))
-	addC("cache_hits_total", float64(cache.Hits))
-	addC("cache_misses_total", float64(cache.Misses))
-	addC("mutation_batches_total", float64(sp.sample.MutationBatches))
-	addC("mutations_total", float64(sp.sample.MutationsTotal))
-	addC("whatif_probes_total", float64(sp.sample.WhatIfProbes))
-	addC("whatif_kept_total", float64(sp.sample.WhatIfKept))
-	addG("qps_1m", sp.sample.QPS)
-	addG("latency_p50_ms", sp.sample.LatP50Ms)
-	addG("latency_p95_ms", sp.sample.LatP95Ms)
-	addG("latency_p99_ms", sp.sample.LatP99Ms)
-	addG("pool_depth", float64(s.pool.Depth()))
-	addG("cpu_slots_in_use", float64(s.cpu.InUse()))
-	addG("cache_entries", float64(cache.Entries))
-	addG("datasets", float64(s.registry.Count()))
-	addG("goroutines", float64(rt.Goroutines))
-	addG("heap_inuse_bytes", float64(rt.HeapInuseBytes))
-	addG("gc_pause_p99_ms", rt.GCPauseP99Ms)
-	addG("uptime_seconds", sp.sample.UptimeSeconds)
+	lat := latencyOf(latencyBuckets(sp.total))
+	add("latency_p50_ms", obs.KindGauge, lat.P50Ms)
+	add("latency_p95_ms", obs.KindGauge, lat.P95Ms)
+	add("latency_p99_ms", obs.KindGauge, lat.P99Ms)
 
 	// Per-endpoint series plus per-class aggregation for the SLO windows.
-	for _, class := range sloClasses {
-		counts := sp.clsCounts[class]
-		for i := range counts {
-			counts[i] = 0
-		}
-		sp.clsTotals[class] = 0
+	for _, cs := range sp.classes {
+		clear(cs.counts)
+		cs.total = 0
 	}
-	for i := range sp.sample.Endpoints {
-		row := &sp.sample.Endpoints[i]
-		names := sp.epNames[row.Name]
-		if names == nil {
-			names = &epSeriesNames{
-				requests: "ep:" + row.Name + ":requests",
-				errors:   "ep:" + row.Name + ":errors",
-				p50:      "ep:" + row.Name + ":p50_ms",
-				p99:      "ep:" + row.Name + ":p99_ms",
+	for i := range sp.rows {
+		row := &sp.rows[i]
+		names := &row.es.series
+		add(names.requests, obs.KindCounter, float64(row.count))
+		add(names.errors, obs.KindCounter, float64(row.errors))
+		add(names.p50, obs.KindGauge, row.hist.Quantile(0.50)*1000)
+		add(names.p99, obs.KindGauge, row.hist.Quantile(0.99)*1000)
+		if cs := sp.classes[endpointClasses[row.es.name]]; cs != nil {
+			for b, c := range row.hist.Counts {
+				cs.counts[b] += c
 			}
-			sp.epNames[row.Name] = names
-		}
-		addC(names.requests, float64(row.Count))
-		addC(names.errors, float64(row.Errors))
-		addG(names.p50, row.P50Ms)
-		addG(names.p99, row.P99Ms)
-		if class := endpointClasses[row.Name]; class != "" {
-			counts := sp.clsCounts[class]
-			for b, c := range row.Buckets {
-				counts[b] += c
-			}
-			sp.clsTotals[class] += row.Count
+			cs.total += row.count
 		}
 	}
 	for _, class := range sloClasses {
-		names := sp.clsNames[class]
-		addC(names.requests, float64(sp.clsTotals[class]))
-		for b, c := range sp.clsCounts[class] {
-			addC(names.buckets[b], float64(c))
+		cs := sp.classes[class]
+		add(cs.requests, obs.KindCounter, float64(cs.total))
+		for b, c := range cs.counts {
+			add(cs.buckets[b], obs.KindCounter, float64(c))
 		}
 	}
 	sp.ts.Record(now, sp.raw)
@@ -276,15 +246,14 @@ func (sp *sampler) recordTick(now time.Time) {
 	dreq, span, okReq := sp.ts.DeltaSince("requests_total", rateWin, now)
 	if okReq && span > 0 {
 		addD("qps", dreq/span.Seconds())
+		var errRate, rate429 float64
 		if dreq > 0 {
 			derr, _, _ := sp.ts.DeltaSince("errors_total", rateWin, now)
 			d429, _, _ := sp.ts.DeltaSince("responses_429_total", rateWin, now)
-			addD("error_rate", clamp01((derr-d429)/dreq))
-			addD("rate_429", clamp01(d429/dreq))
-		} else {
-			addD("error_rate", 0)
-			addD("rate_429", 0)
+			errRate, rate429 = clamp01((derr-d429)/dreq), clamp01(d429/dreq)
 		}
+		addD("error_rate", errRate)
+		addD("rate_429", rate429)
 	}
 	dh, _, okH := sp.ts.DeltaSince("cache_hits_total", rateWin, now)
 	dm, _, okM := sp.ts.DeltaSince("cache_misses_total", rateWin, now)
@@ -292,11 +261,26 @@ func (sp *sampler) recordTick(now time.Time) {
 		addD("cache_hit_rate", clamp01(dh/(dh+dm)))
 	}
 	for _, class := range sloClasses {
-		if p99, ok := sp.classP99Ms(class, sloClassP99Window, now); ok {
-			addD(sp.clsNames[class].p99, p99)
+		cs := sp.classes[class]
+		if sp.classDeltas(cs, sloClassP99Window, now) > 0 {
+			addD(cs.p99, latencyBuckets(sp.deltas).Quantile(0.99)*1000)
 		}
 	}
 	sp.ts.Amend(sp.derived)
+}
+
+// qps1m reads qps_1m from the ring: the requests served since the
+// trailing minute's baseline tick (obs.TimeSeries.Baseline) per second.
+// 0 while history is disabled and before the first tick.
+func (sp *sampler) qps1m(now time.Time) float64 {
+	if sp == nil {
+		return 0
+	}
+	t, v, ok := sp.ts.Baseline("requests_total", time.Minute, now)
+	if !ok || !now.After(t) {
+		return 0
+	}
+	return max(float64(sp.srv.metrics.requests.Load())-v, 0) / now.Sub(t).Seconds()
 }
 
 // evaluateSLO is the burn-rate half of a tick: evaluate every objective
@@ -313,27 +297,19 @@ func (sp *sampler) evaluateSLO(now time.Time) {
 	}
 }
 
-// classP99Ms estimates a class's p99 over the trailing window from the
-// class bucket counter deltas. ok=false until the window holds two ticks
-// of class traffic.
-func (sp *sampler) classP99Ms(class string, window time.Duration, now time.Time) (float64, bool) {
-	names := sp.clsNames[class]
-	any := false
+// classDeltas fills sp.deltas with a class's per-bucket request counts
+// over the trailing window and returns their sum: 0 until the window holds
+// two ticks of class traffic.
+func (sp *sampler) classDeltas(cs *classSeries, window time.Duration, now time.Time) uint64 {
 	var total uint64
-	for i, name := range names.buckets {
+	for i, name := range cs.buckets {
 		sp.deltas[i] = 0
-		d, _, ok := sp.ts.DeltaSince(name, window, now)
-		if !ok || d <= 0 {
-			continue
+		if d, _, ok := sp.ts.DeltaSince(name, window, now); ok && d > 0 {
+			sp.deltas[i] = uint64(d)
+			total += uint64(d)
 		}
-		any = true
-		sp.deltas[i] = uint64(d)
-		total += uint64(d)
 	}
-	if !any || total == 0 {
-		return 0, false
-	}
-	return bucketQuantileMs(sp.deltas, 0.99), true
+	return total
 }
 
 // badFraction is the SLO engine's data source: the fraction of bad service
@@ -356,28 +332,21 @@ func (sp *sampler) badFraction(o obs.Objective, window time.Duration, now time.T
 		d429, _, _ := sp.ts.DeltaSince("responses_429_total", window, now)
 		return clamp01((derr - d429) / dreq), true
 	case obs.SLOLatency:
-		names := sp.clsNames[o.Class]
-		if names == nil {
+		cs := sp.classes[o.Class]
+		if cs == nil {
 			return 0, false
 		}
-		boundSec := o.Bound.Seconds()
-		var total, good float64
-		any := false
-		for i, name := range names.buckets {
-			d, _, ok := sp.ts.DeltaSince(name, window, now)
-			if !ok || d <= 0 {
-				continue
-			}
-			any = true
-			total += d
-			if i < len(obs.DefaultLatencyBuckets) && obs.DefaultLatencyBuckets[i] <= boundSec {
-				good += d
-			}
-		}
-		if !any || total <= 0 {
+		total := sp.classDeltas(cs, window, now)
+		if total == 0 {
 			return 0, false
 		}
-		return clamp01(1 - good/total), true
+		var good uint64
+		for i, bound := range obs.DefaultLatencyBuckets {
+			if bound <= o.Bound.Seconds() {
+				good += sp.deltas[i]
+			}
+		}
+		return clamp01(1 - float64(good)/float64(total)), true
 	}
 	return 0, false
 }
@@ -544,14 +513,6 @@ func (s *Server) handleDebugHealth(w http.ResponseWriter, r *http.Request) {
 		v.SLOs = []obs.SLOStatus{}
 	}
 	infos := s.registry.List()
-	warm := make(map[string]bool, len(infos))
-	var gen uint64
-	for _, info := range infos {
-		warm[info.Name] = info.IndexWarm
-		if info.Generation > gen {
-			gen = info.Generation
-		}
-	}
 	ts := s.sampler.ts
 	writeJSON(w, http.StatusOK, healthResponse{
 		Healthy:       v.Healthy,
@@ -560,8 +521,8 @@ func (s *Server) handleDebugHealth(w http.ResponseWriter, r *http.Request) {
 		SLOs:          v.SLOs,
 		Ready:         s.ready.Load(),
 		Datasets:      len(infos),
-		IndexWarm:     warm,
-		Generation:    gen,
+		IndexWarm:     indexWarm(infos),
+		Generation:    s.registry.MaxGeneration(),
 		UptimeSeconds: time.Since(s.metrics.start).Seconds(),
 		Build:         s.sampler.build,
 		History: healthHistoryMeta{

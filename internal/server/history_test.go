@@ -376,37 +376,13 @@ func TestRecordTickZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestSampleIntoZeroAllocs(t *testing.T) {
-	m := NewMetrics()
-	for i := 0; i < 100; i++ {
-		m.Observe("kspr", time.Millisecond, 200)
-		m.Observe("topk", 2*time.Millisecond, 500)
-	}
-	var ms MetricsSample
-	m.SampleInto(&ms) // registration pass allocates the endpoint rows
-	allocs := testing.AllocsPerRun(100, func() {
-		m.SampleInto(&ms)
-	})
-	if allocs != 0 {
-		t.Fatalf("SampleInto allocates %v/op in steady state, want 0", allocs)
-	}
-	// The sample must agree with Snapshot on the counters.
-	snap := m.Snapshot()
-	if ms.Requests != snap.Requests || ms.Errors != snap.Errors {
-		t.Fatalf("sample %d/%d != snapshot %d/%d", ms.Requests, ms.Errors, snap.Requests, snap.Errors)
-	}
-	if len(ms.Endpoints) != 2 || ms.Endpoints[0].Name != "kspr" || ms.Endpoints[1].Name != "topk" {
-		t.Fatalf("endpoint rows = %+v", ms.Endpoints)
-	}
-	ep := snap.LatencyByEndpoint["kspr"]
-	if ms.Endpoints[0].Count != ep.Requests {
-		t.Fatalf("sample count %d != snapshot count %d", ms.Endpoints[0].Count, ep.Requests)
-	}
-}
-
 func TestMetricsJSONIncludesRuntimeAndBuild(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	var snap MetricsSnapshot
+	var snap struct {
+		Runtime obs.RuntimeStats `json:"runtime"`
+		Build   obs.BuildInfo    `json:"build"`
+		SLO     *SLOView         `json:"slo"`
+	}
 	fetchJSON(t, ts.URL+"/metrics", http.StatusOK, &snap)
 	if snap.Runtime.Goroutines < 1 {
 		t.Fatalf("runtime goroutines = %d", snap.Runtime.Goroutines)
@@ -448,22 +424,6 @@ func BenchmarkSnapshotSteadyState(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = m.Snapshot()
-	}
-}
-
-func BenchmarkSampleInto(b *testing.B) {
-	m := NewMetrics()
-	for _, ep := range []string{"kspr", "kspr.batch", "topk", "skyline", "impact", "whatif.price"} {
-		for i := 0; i < 500; i++ {
-			m.Observe(ep, time.Duration(i)*time.Microsecond, 200)
-		}
-	}
-	var ms MetricsSample
-	m.SampleInto(&ms)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.SampleInto(&ms)
 	}
 }
 

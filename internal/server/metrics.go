@@ -1,10 +1,19 @@
 package server
 
+// This file is the metrics model. Every scalar counter and gauge the
+// server exposes is declared once, in scalarMetrics, and rendered three
+// ways from that one list: the JSON body of GET /metrics, the Prometheus
+// exposition of GET /metrics.prom, and the history ring's sampler tick.
+// Latency is recorded once per request, into the endpoint's histogram;
+// the per-endpoint rows and the global latency view are both read from
+// those histograms, with obs.NearestRank as the only quantile rule.
+
 import (
+	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,37 +21,9 @@ import (
 	"repro/internal/obs"
 )
 
-// latWindow is the number of most recent request latencies kept for
-// percentile estimation (spread across the stripes).
-const latWindow = 2048
-
-// qpsBuckets is the length (seconds) of the sliding QPS window.
-const qpsBuckets = 60
-
-// latStripes shards the latency ring and QPS buckets. A single global
-// mutex here was the first contention hot spot the load harness exposed:
-// every request of every endpoint serialized on it just to record one
-// float. Must be a power of two (stripe pick is a mask).
-const latStripes = 8
-
-// latStripe is one shard of the recent-latency ring plus its slice of the
-// QPS window. Round-robin assignment keeps the union of the stripes equal
-// to the most recent latWindow observations, and per-second QPS counts
-// sum across stripes to the exact global count.
-type latStripe struct {
-	mu     sync.Mutex
-	lat    [latWindow / latStripes]float64 // ring of latencies in milliseconds
-	latIdx int
-	latN   int
-	qps    [qpsBuckets]qpsBucket
-	// pad spaces stripes a cache line apart so neighboring locks do not
-	// false-share.
-	_ [64]byte
-}
-
-// Metrics aggregates the serving counters exposed on /metrics. All methods
-// are safe for concurrent use; the hot path is a few atomics plus one
-// small striped ring update.
+// Metrics holds the serving counters and the per-endpoint latency
+// histograms. All methods are safe for concurrent use; Observe is a few
+// atomic adds plus one histogram add.
 type Metrics struct {
 	start    time.Time
 	requests atomic.Uint64
@@ -58,36 +39,23 @@ type Metrics struct {
 	whatifProbes atomic.Uint64
 	whatifKept   atomic.Uint64
 
-	stripePick atomic.Uint64
-	stripes    [latStripes]latStripe
-
-	byEndpoint sync.Map // string -> *endpointStats
+	// byName finds an endpoint's stats without locking. sorted lists the
+	// same stats in name order for rendering; it is replaced copy-on-write
+	// under regMu the first time an endpoint is seen.
+	byName sync.Map // string -> *endpointStats
+	regMu  sync.Mutex
+	sorted atomic.Pointer[[]*endpointStats]
 }
 
-// endpointStats is one endpoint's serving record: request/error counters
-// plus a fixed-bucket latency histogram (the shared bucket layout of
-// obs.DefaultLatencyBuckets). The histogram backs both the per-endpoint
-// percentiles of JSON /metrics and the Prometheus exposition.
+// endpointStats is one endpoint's serving record: request and error
+// counters plus a latency histogram in the obs.DefaultLatencyBuckets
+// layout.
 type endpointStats struct {
+	name   string
+	series epSeriesNames
 	count  atomic.Uint64
 	errors atomic.Uint64
 	hist   *obs.Histogram
-}
-
-// endpoint returns the named endpoint's stats, creating them on first
-// use. The common path is a single lock-free map lookup; LoadOrStore only
-// runs the first time an endpoint is seen.
-func (m *Metrics) endpoint(name string) *endpointStats {
-	if v, ok := m.byEndpoint.Load(name); ok {
-		return v.(*endpointStats)
-	}
-	v, _ := m.byEndpoint.LoadOrStore(name, &endpointStats{hist: obs.NewHistogram(nil)})
-	return v.(*endpointStats)
-}
-
-type qpsBucket struct {
-	sec int64
-	n   uint64
 }
 
 // NewMetrics starts the clock.
@@ -95,48 +63,60 @@ func NewMetrics() *Metrics {
 	return &Metrics{start: time.Now()}
 }
 
+// endpoint returns the named endpoint's stats, registering them on first
+// use. The common path is one lock-free map lookup.
+func (m *Metrics) endpoint(name string) *endpointStats {
+	if v, ok := m.byName.Load(name); ok {
+		return v.(*endpointStats)
+	}
+	m.regMu.Lock()
+	defer m.regMu.Unlock()
+	if v, ok := m.byName.Load(name); ok {
+		return v.(*endpointStats)
+	}
+	es := &endpointStats{name: name, hist: obs.NewHistogram(nil), series: epSeriesNames{
+		requests: "ep:" + name + ":requests",
+		errors:   "ep:" + name + ":errors",
+		p50:      "ep:" + name + ":p50_ms",
+		p99:      "ep:" + name + ":p99_ms",
+	}}
+	list := append(slices.Clone(m.endpoints()), es)
+	slices.SortFunc(list, func(a, b *endpointStats) int { return strings.Compare(a.name, b.name) })
+	m.sorted.Store(&list)
+	m.byName.Store(name, es)
+	return es
+}
+
+// endpoints returns every endpoint's stats in name order.
+func (m *Metrics) endpoints() []*endpointStats {
+	if p := m.sorted.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
 // Observe records one finished request by its response status. Statuses
 // >= 400 count as errors; 429s are additionally counted on their own so
 // the SLO layer can exclude honest backpressure from availability burn.
 func (m *Metrics) Observe(endpoint string, d time.Duration, status int) {
-	isErr := status >= 400
+	es := m.endpoint(endpoint)
 	m.requests.Add(1)
-	if isErr {
+	es.count.Add(1)
+	if status >= 400 {
 		m.errors.Add(1)
+		es.errors.Add(1)
 	}
 	if status == 429 {
 		m.resp429.Add(1)
 	}
-	es := m.endpoint(endpoint)
-	es.count.Add(1)
-	if isErr {
-		es.errors.Add(1)
-	}
 	es.hist.Observe(d)
-
-	sec := time.Now().Unix()
-	st := &m.stripes[m.stripePick.Add(1)&(latStripes-1)]
-	st.mu.Lock()
-	st.lat[st.latIdx] = float64(d) / float64(time.Millisecond)
-	st.latIdx = (st.latIdx + 1) % len(st.lat)
-	if st.latN < len(st.lat) {
-		st.latN++
-	}
-	b := &st.qps[sec%qpsBuckets]
-	if b.sec != sec {
-		b.sec, b.n = sec, 0
-	}
-	b.n++
-	st.mu.Unlock()
 }
 
 // AddErrors bumps the error counter by n without recording requests; used
 // for failures that hide inside an otherwise-successful response (e.g.
 // per-query errors in a streamed 200 batch).
 func (m *Metrics) AddErrors(n uint64) {
-	if n > 0 {
-		m.errors.Add(n)
-	}
+	m.errors.Add(n)
 }
 
 // AddMutationBatch records one applied mutation batch of n mutations,
@@ -161,74 +141,194 @@ func (m *Metrics) AddWhatIf(probes, kept uint64) {
 	m.whatifKept.Add(kept)
 }
 
-// WhatIfMetrics is the /metrics view of the what-if layer.
-type WhatIfMetrics struct {
-	// Probes counts impact evaluations across all what-if calls; Kept the
-	// ones answered without an engine run (Maintainer keep tiers, frontier
-	// dominator classification).
-	Probes uint64 `json:"probes_total"`
-	Kept   uint64 `json:"kept_total"`
+// ---- scalar metrics: declared once --------------------------------------
+
+// metricsFrame is one read of every source the scalar metrics draw on.
+// A frame built from Metrics alone (Metrics.Snapshot) leaves the
+// server-owned sources zero.
+type metricsFrame struct {
+	m           *Metrics
+	now         time.Time
+	qps         float64
+	cache       CacheStats
+	poolWorkers int
+	poolDepth   int64
+	cpuSlots    int
+	cpuInUse    int
+	datasets    int
+	runtime     obs.RuntimeStats
 }
 
-// MutationStats is the /metrics view of the live-dataset subsystem.
-type MutationStats struct {
-	// Batches / Mutations count applied mutation batches and the
-	// individual mutations inside them.
-	Batches   uint64 `json:"batches_total"`
-	Mutations uint64 `json:"mutations_total"`
-	// CacheMigrated counts cached kSPR results proven unaffected by a
-	// mutation batch and carried to the new generation; CacheDropped those
-	// orphaned (left to age out of the LRU).
-	CacheMigrated uint64 `json:"cache_results_migrated_total"`
-	CacheDropped  uint64 `json:"cache_results_dropped_total"`
-	// Recoveries counts datasets restored by snapshot load + WAL replay at
-	// startup.
-	Recoveries uint64 `json:"wal_recoveries_total"`
+// metricDef declares one scalar metric: its history-ring series, its
+// /metrics JSON key ("section.key" nests one level), its Prometheus
+// family and help text, its kind, and how to read it from a frame.
+type metricDef struct {
+	series string
+	json   string
+	prom   string
+	help   string
+	kind   obs.SeriesKind
+	// promScale converts the value into the Prometheus family's unit
+	// (0 = unchanged).
+	promScale float64
+	read      func(*metricsFrame) float64
 }
 
-// LatencyStats are percentile estimates over the recent-latency window.
+// counter and gauge build a metricDef of their kind.
+func counter(series, jsonKey, prom, help string, read func(*metricsFrame) uint64) metricDef {
+	return metricDef{series: series, json: jsonKey, prom: prom, help: help, kind: obs.KindCounter,
+		read: func(f *metricsFrame) float64 { return float64(read(f)) }}
+}
+
+func gauge(series, jsonKey, prom, help string, read func(*metricsFrame) float64) metricDef {
+	return metricDef{series: series, json: jsonKey, prom: prom, help: help, kind: obs.KindGauge, read: read}
+}
+
+// scalarMetrics is the one list /metrics, /metrics.prom and the sampler
+// tick iterate.
+var scalarMetrics = []metricDef{
+	gauge("uptime_seconds", "uptime_seconds", "kspr_uptime_seconds", "Seconds since the server started.",
+		func(f *metricsFrame) float64 { return f.now.Sub(f.m.start).Seconds() }),
+	counter("requests_total", "requests_total", "kspr_requests_total", "HTTP requests served across all endpoints.",
+		func(f *metricsFrame) uint64 { return f.m.requests.Load() }),
+	counter("errors_total", "errors_total", "kspr_errors_total", "Requests answered with status >= 400, plus per-item failures inside streamed batches.",
+		func(f *metricsFrame) uint64 { return f.m.errors.Load() }),
+	counter("responses_429_total", "responses_429_total", "kspr_responses_429_total", "Requests shed with 429 (CPU budget exhausted or queue full).",
+		func(f *metricsFrame) uint64 { return f.m.resp429.Load() }),
+	gauge("qps_1m", "qps_1m", "kspr_qps_1m", "Requests per second over the trailing minute, from the history ring (0 while history is disabled).",
+		func(f *metricsFrame) float64 { return f.qps }),
+	gauge("datasets", "dataset_count", "kspr_datasets", "Datasets currently registered.",
+		func(f *metricsFrame) float64 { return float64(f.datasets) }),
+
+	counter("cache_hits_total", "cache.hits", "kspr_cache_hits_total", "Result cache hits.",
+		func(f *metricsFrame) uint64 { return f.cache.Hits }),
+	counter("cache_misses_total", "cache.misses", "kspr_cache_misses_total", "Result cache misses.",
+		func(f *metricsFrame) uint64 { return f.cache.Misses }),
+	gauge("cache_hit_rate_lifetime", "cache.hit_rate", "kspr_cache_hit_rate_lifetime", "Result cache hits over lookups since the server started.",
+		func(f *metricsFrame) float64 { return f.cache.HitRate }),
+	gauge("cache_entries", "cache.entries", "kspr_cache_entries", "Entries currently cached.",
+		func(f *metricsFrame) float64 { return float64(f.cache.Entries) }),
+	gauge("cache_shards", "cache.shards", "kspr_cache_shards", "Result cache shards.",
+		func(f *metricsFrame) float64 { return float64(f.cache.Shards) }),
+
+	gauge("pool_workers", "pool.workers", "kspr_pool_workers", "Worker pool size.",
+		func(f *metricsFrame) float64 { return float64(f.poolWorkers) }),
+	gauge("pool_depth", "pool.depth", "kspr_pool_depth", "Queued plus running jobs in the worker pool.",
+		func(f *metricsFrame) float64 { return float64(f.poolDepth) }),
+	gauge("cpu_extra_slots", "cpu.extra_slots", "kspr_cpu_extra_slots", "Extra CPU slots in the parallelism budget.",
+		func(f *metricsFrame) float64 { return float64(f.cpuSlots) }),
+	gauge("cpu_slots_in_use", "cpu.in_use", "kspr_cpu_slots_in_use", "Extra CPU slots currently held by parallel queries.",
+		func(f *metricsFrame) float64 { return float64(f.cpuInUse) }),
+
+	counter("mutation_batches_total", "mutations.batches_total", "kspr_mutation_batches_total", "Applied dataset mutation batches.",
+		func(f *metricsFrame) uint64 { return f.m.mutationBatches.Load() }),
+	counter("mutations_total", "mutations.mutations_total", "kspr_mutations_total", "Individual mutations applied.",
+		func(f *metricsFrame) uint64 { return f.m.mutationsTotal.Load() }),
+	counter("cache_results_migrated_total", "mutations.cache_results_migrated_total", "kspr_cache_results_migrated_total", "Cached results carried across dataset generations.",
+		func(f *metricsFrame) uint64 { return f.m.cacheMigrated.Load() }),
+	counter("cache_results_dropped_total", "mutations.cache_results_dropped_total", "kspr_cache_results_dropped_total", "Cached results orphaned by dataset generations.",
+		func(f *metricsFrame) uint64 { return f.m.cacheDropped.Load() }),
+	counter("wal_recoveries_total", "mutations.wal_recoveries_total", "kspr_wal_recoveries_total", "Datasets restored by WAL replay at startup.",
+		func(f *metricsFrame) uint64 { return f.m.recoveries.Load() }),
+
+	counter("whatif_probes_total", "whatif.probes_total", "kspr_whatif_probes_total", "What-if impact probes evaluated.",
+		func(f *metricsFrame) uint64 { return f.m.whatifProbes.Load() }),
+	counter("whatif_kept_total", "whatif.kept_total", "kspr_whatif_kept_total", "What-if probes absorbed by the incremental keep path.",
+		func(f *metricsFrame) uint64 { return f.m.whatifKept.Load() }),
+	gauge("whatif_keep_rate", "whatif.keep_rate", "kspr_whatif_keep_rate", "Fraction of what-if probes answered without an engine run.",
+		func(f *metricsFrame) float64 {
+			return float64(f.m.whatifKept.Load()) / float64(max(f.m.whatifProbes.Load(), 1))
+		}),
+
+	gauge("goroutines", "runtime.goroutines", "ksprd_go_goroutines", "Live goroutines.",
+		func(f *metricsFrame) float64 { return float64(f.runtime.Goroutines) }),
+	gauge("heap_inuse_bytes", "runtime.heap_inuse_bytes", "ksprd_go_heap_inuse_bytes", "Heap bytes in use (live objects plus unused span tails).",
+		func(f *metricsFrame) float64 { return float64(f.runtime.HeapInuseBytes) }),
+	{series: "gc_pause_p99_ms", json: "runtime.gc_pause_p99_ms", prom: "ksprd_go_gc_pause_p99_seconds",
+		help: "p99 GC stop-the-world pause since process start.", kind: obs.KindGauge, promScale: 1e-3,
+		read: func(f *metricsFrame) float64 { return f.runtime.GCPauseP99Ms }},
+}
+
+// ---- latency rows: read from the histograms -----------------------------
+
+// LatencyStats are latency quantiles in milliseconds. Each reports the
+// upper bound of the histogram bucket holding the nearest-rank sample.
 type LatencyStats struct {
 	P50Ms float64 `json:"p50_ms"`
 	P95Ms float64 `json:"p95_ms"`
 	P99Ms float64 `json:"p99_ms"`
 }
 
-// EndpointLatency is one endpoint's row in /metrics: counters plus
-// percentiles estimated from the endpoint's latency histogram (each
-// percentile reports the upper bound of its bucket, so it matches the
-// global window percentiles within one bucket width).
+// EndpointLatency is one endpoint's row in /metrics: its counters plus
+// the latency quantiles of its histogram.
 type EndpointLatency struct {
-	Requests uint64  `json:"requests_total"`
-	Errors   uint64  `json:"errors_total"`
-	P50Ms    float64 `json:"p50_ms"`
-	P95Ms    float64 `json:"p95_ms"`
-	P99Ms    float64 `json:"p99_ms"`
+	Requests uint64 `json:"requests_total"`
+	Errors   uint64 `json:"errors_total"`
+	LatencyStats
 }
 
-// MetricsSnapshot is the JSON body of /metrics.
+// endpointRow is one endpoint's reading of the metrics model.
+type endpointRow struct {
+	es     *endpointStats
+	count  uint64
+	errors uint64
+	hist   obs.HistSnapshot
+}
+
+// latencyBuckets views per-bucket counts in the obs.DefaultLatencyBuckets
+// layout (+Inf last) as a histogram snapshot.
+func latencyBuckets(counts []uint64) obs.HistSnapshot {
+	return obs.HistSnapshot{Bounds: obs.DefaultLatencyBuckets, Counts: counts}
+}
+
+// latencyOf reads the p50/p95/p99 of a latency histogram in milliseconds.
+func latencyOf(h obs.HistSnapshot) LatencyStats {
+	return LatencyStats{
+		P50Ms: h.Quantile(0.50) * 1000,
+		P95Ms: h.Quantile(0.95) * 1000,
+		P99Ms: h.Quantile(0.99) * 1000,
+	}
+}
+
+// readRows reads every endpoint's row, in name order, into rows (reusing
+// its storage) and sums all endpoints' bucket counts into total — the
+// global latency view. total must have len(obs.DefaultLatencyBuckets)+1
+// entries. With rows already sized it allocates nothing.
+func (m *Metrics) readRows(rows []endpointRow, total []uint64) []endpointRow {
+	clear(total)
+	eps := m.endpoints()
+	rows = slices.Grow(rows[:0], len(eps))[:len(eps)]
+	for i, es := range eps {
+		r := &rows[i]
+		r.es, r.count, r.errors = es, es.count.Load(), es.errors.Load()
+		es.hist.SnapshotInto(&r.hist)
+		for b, c := range r.hist.Counts {
+			total[b] += c
+		}
+	}
+	return rows
+}
+
+// ---- the snapshot and its two renderings --------------------------------
+
+// MetricsSnapshot is one read of the metrics model: the declared scalars,
+// the latency rows, and the sections other server components own. It
+// renders as the GET /metrics JSON body (MarshalJSON) and the GET
+// /metrics.prom exposition (WriteProm).
 type MetricsSnapshot struct {
-	UptimeSeconds float64           `json:"uptime_seconds"`
-	Requests      uint64            `json:"requests_total"`
-	Errors        uint64            `json:"errors_total"`
-	Resp429       uint64            `json:"responses_429_total"`
-	QPS           float64           `json:"qps_1m"`
-	Latency       LatencyStats      `json:"latency"`
-	Cache         CacheStats        `json:"cache"`
-	Pool          PoolStats         `json:"pool"`
-	CPU           CPUStats          `json:"cpu"`
-	Mutations     MutationStats     `json:"mutations"`
-	WhatIf        WhatIfMetrics     `json:"whatif"`
-	ByEndpoint    map[string]uint64 `json:"requests_by_endpoint"`
-	// LatencyByEndpoint breaks latency and errors down per endpoint,
-	// derived from the per-endpoint histograms.
-	LatencyByEndpoint map[string]EndpointLatency `json:"latency_by_endpoint"`
-	Datasets          []DatasetInfo              `json:"datasets"`
-	// Runtime and Build report Go runtime telemetry and binary identity;
-	// SLO the latest burn-rate evaluation (nil when the SLO engine is
-	// off). All three are filled by the server's metricsView.
-	Runtime obs.RuntimeStats `json:"runtime"`
-	Build   obs.BuildInfo    `json:"build"`
-	SLO     *SLOView         `json:"slo,omitempty"`
+	// Values holds one value per scalarMetrics entry, in declaration
+	// order.
+	Values []float64
+	// Latency is the global view: the quantiles of all endpoints' bucket
+	// counts summed. LatencyByEndpoint has one row per endpoint.
+	Latency           LatencyStats
+	LatencyByEndpoint map[string]EndpointLatency
+	rows              []endpointRow
+	// Datasets, Build and SLO are filled by the server's metricsView; SLO
+	// is nil when the SLO engine is off.
+	Datasets []DatasetInfo
+	Build    obs.BuildInfo
+	SLO      *SLOView
 }
 
 // SLOView is the /metrics (and black-box) rendering of the SLO engine's
@@ -239,235 +339,63 @@ type SLOView struct {
 	Objectives []obs.SLOStatus `json:"objectives"`
 }
 
-// PoolStats is the /metrics view of the worker pool.
-type PoolStats struct {
-	Workers int   `json:"workers"`
-	Depth   int64 `json:"depth"`
+// Snapshot reads the model from m's own sources; the server-owned ones
+// (cache, pool, CPU budget, registry, runtime, history ring) read zero.
+// The server's metricsView fills them in.
+func (m *Metrics) Snapshot() MetricsSnapshot {
+	return snapshotOf(&metricsFrame{m: m, now: time.Now()})
 }
 
-// Snapshot computes the current metrics view. Cache/pool/registry sections
-// are filled in by the server, which owns those components.
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	now := time.Now()
+// snapshotOf reads every declared scalar from f and the latency rows from
+// f.m's histograms.
+func snapshotOf(f *metricsFrame) MetricsSnapshot {
+	total := make([]uint64, len(obs.DefaultLatencyBuckets)+1)
 	snap := MetricsSnapshot{
-		UptimeSeconds: now.Sub(m.start).Seconds(),
-		Requests:      m.requests.Load(),
-		Errors:        m.errors.Load(),
-		Resp429:       m.resp429.Load(),
-		ByEndpoint:    map[string]uint64{},
-		Mutations: MutationStats{
-			Batches:       m.mutationBatches.Load(),
-			Mutations:     m.mutationsTotal.Load(),
-			CacheMigrated: m.cacheMigrated.Load(),
-			CacheDropped:  m.cacheDropped.Load(),
-			Recoveries:    m.recoveries.Load(),
-		},
-		WhatIf: WhatIfMetrics{
-			Probes: m.whatifProbes.Load(),
-			Kept:   m.whatifKept.Load(),
-		},
+		Values:            make([]float64, len(scalarMetrics)),
+		rows:              f.m.readRows(nil, total),
+		LatencyByEndpoint: map[string]EndpointLatency{},
 	}
-	snap.LatencyByEndpoint = map[string]EndpointLatency{}
-	m.byEndpoint.Range(func(k, v any) bool {
-		es := v.(*endpointStats)
-		hs := es.hist.Snapshot()
-		snap.ByEndpoint[k.(string)] = es.count.Load()
-		snap.LatencyByEndpoint[k.(string)] = EndpointLatency{
-			Requests: es.count.Load(),
-			Errors:   es.errors.Load(),
-			P50Ms:    hs.Quantile(0.50) * 1000,
-			P95Ms:    hs.Quantile(0.95) * 1000,
-			P99Ms:    hs.Quantile(0.99) * 1000,
-		}
-		return true
-	})
-
-	var (
-		lats []float64
-		hits uint64
-	)
-	cutoff := now.Unix() - qpsBuckets
-	for i := range m.stripes {
-		st := &m.stripes[i]
-		st.mu.Lock()
-		lats = append(lats, st.lat[:st.latN]...)
-		for _, b := range st.qps {
-			if b.sec > cutoff {
-				hits += b.n
-			}
-		}
-		st.mu.Unlock()
+	for i, d := range scalarMetrics {
+		snap.Values[i] = d.read(f)
 	}
-
-	window := snap.UptimeSeconds
-	if window > qpsBuckets {
-		window = qpsBuckets
-	}
-	if window > 0 {
-		snap.QPS = float64(hits) / window
-	}
-	if len(lats) > 0 {
-		sort.Float64s(lats)
-		snap.Latency = LatencyStats{
-			P50Ms: percentile(lats, 0.50),
-			P95Ms: percentile(lats, 0.95),
-			P99Ms: percentile(lats, 0.99),
-		}
+	snap.Latency = latencyOf(latencyBuckets(total))
+	for _, r := range snap.rows {
+		snap.LatencyByEndpoint[r.es.name] = EndpointLatency{Requests: r.count, Errors: r.errors, LatencyStats: latencyOf(r.hist)}
 	}
 	return snap
 }
 
-// percentile reads the p-quantile from sorted values by rounding the
-// fractional rank p*(n-1) to the nearest sample. Unlike the classic
-// nearest-rank ceil(p*n) rule this is symmetric at tiny n — the median of
-// two samples reports the upper one rather than always the lower — and it
-// degrades to the usual estimate as n grows.
-func percentile(sorted []float64, p float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
+// MarshalJSON renders the GET /metrics body: each declared scalar under
+// its JSON key, then the latency, dataset, build and SLO sections.
+func (s MetricsSnapshot) MarshalJSON() ([]byte, error) {
+	byEndpoint := make(map[string]uint64, len(s.LatencyByEndpoint))
+	for name, ep := range s.LatencyByEndpoint {
+		byEndpoint[name] = ep.Requests
 	}
-	idx := int(math.Round(p * float64(n-1)))
-	if idx < 0 {
-		idx = 0
+	body := map[string]any{
+		"latency":              s.Latency,
+		"requests_by_endpoint": byEndpoint,
+		"latency_by_endpoint":  s.LatencyByEndpoint,
+		"datasets":             s.Datasets,
+		"build":                s.Build,
 	}
-	if idx >= n {
-		idx = n - 1
+	if s.SLO != nil {
+		body["slo"] = s.SLO
 	}
-	return sorted[idx]
-}
-
-// EndpointSample is one endpoint's row in a MetricsSample: counters,
-// per-bucket histogram counts (obs.DefaultLatencyBuckets layout, +Inf
-// last), and percentile estimates derived from them.
-type EndpointSample struct {
-	Name    string
-	Count   uint64
-	Errors  uint64
-	Buckets []uint64
-	P50Ms   float64
-	P99Ms   float64
-}
-
-// MetricsSample is the reusable scratch the telemetry sampler fills every
-// tick via SampleInto. Unlike Snapshot it holds no maps: endpoint rows
-// live in a sorted slice that is reused across ticks, so steady-state
-// sampling (no new endpoints) performs zero allocations. A MetricsSample
-// must not be copied after first use (SampleInto caches a closure over
-// its address).
-type MetricsSample struct {
-	UptimeSeconds float64
-	Requests      uint64
-	Errors        uint64
-	Resp429       uint64
-
-	MutationBatches uint64
-	MutationsTotal  uint64
-	CacheMigrated   uint64
-	CacheDropped    uint64
-	Recoveries      uint64
-	WhatIfProbes    uint64
-	WhatIfKept      uint64
-
-	QPS      float64
-	LatP50Ms float64
-	LatP95Ms float64
-	LatP99Ms float64
-
-	// Endpoints is sorted by name and reused across ticks; rows for
-	// endpoints that disappeared keep their last counters (endpoints are
-	// never unregistered).
-	Endpoints []EndpointSample
-
-	lats    []float64           // reused latency scratch for the striped window
-	rangeFn func(k, v any) bool // cached Range closure (avoids one alloc/call)
-}
-
-// row returns the endpoint's row, inserting it in name order on first
-// sight (the only allocating path; the steady state is a binary search).
-func (ms *MetricsSample) row(name string) *EndpointSample {
-	lo, hi := 0, len(ms.Endpoints)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ms.Endpoints[mid].Name < name {
-			lo = mid + 1
-		} else {
-			hi = mid
+	for i, d := range scalarMetrics {
+		section, key, nested := strings.Cut(d.json, ".")
+		if !nested {
+			body[section] = s.Values[i]
+			continue
 		}
-	}
-	if lo < len(ms.Endpoints) && ms.Endpoints[lo].Name == name {
-		return &ms.Endpoints[lo]
-	}
-	ms.Endpoints = append(ms.Endpoints, EndpointSample{})
-	copy(ms.Endpoints[lo+1:], ms.Endpoints[lo:])
-	ms.Endpoints[lo] = EndpointSample{
-		Name:    name,
-		Buckets: make([]uint64, len(obs.DefaultLatencyBuckets)+1),
-	}
-	return &ms.Endpoints[lo]
-}
-
-// SampleInto fills ms with the current counters, endpoint rows, and
-// striped-window percentiles. It is the sampler's allocation-free
-// alternative to Snapshot (which builds fresh maps per call for the JSON
-// response). ms is reused across calls; pass the same one every tick.
-func (m *Metrics) SampleInto(ms *MetricsSample) {
-	now := time.Now()
-	ms.UptimeSeconds = now.Sub(m.start).Seconds()
-	ms.Requests = m.requests.Load()
-	ms.Errors = m.errors.Load()
-	ms.Resp429 = m.resp429.Load()
-	ms.MutationBatches = m.mutationBatches.Load()
-	ms.MutationsTotal = m.mutationsTotal.Load()
-	ms.CacheMigrated = m.cacheMigrated.Load()
-	ms.CacheDropped = m.cacheDropped.Load()
-	ms.Recoveries = m.recoveries.Load()
-	ms.WhatIfProbes = m.whatifProbes.Load()
-	ms.WhatIfKept = m.whatifKept.Load()
-
-	if ms.rangeFn == nil {
-		ms.rangeFn = func(k, v any) bool {
-			es := v.(*endpointStats)
-			row := ms.row(k.(string))
-			row.Count = es.count.Load()
-			row.Errors = es.errors.Load()
-			es.hist.CopyCounts(row.Buckets)
-			row.P50Ms = bucketQuantileMs(row.Buckets, 0.50)
-			row.P99Ms = bucketQuantileMs(row.Buckets, 0.99)
-			return true
+		sub, _ := body[section].(map[string]float64)
+		if sub == nil {
+			sub = map[string]float64{}
+			body[section] = sub
 		}
+		sub[key] = s.Values[i]
 	}
-	m.byEndpoint.Range(ms.rangeFn)
-
-	ms.lats = ms.lats[:0]
-	var hits uint64
-	cutoff := now.Unix() - qpsBuckets
-	for i := range m.stripes {
-		st := &m.stripes[i]
-		st.mu.Lock()
-		ms.lats = append(ms.lats, st.lat[:st.latN]...)
-		for _, b := range st.qps {
-			if b.sec > cutoff {
-				hits += b.n
-			}
-		}
-		st.mu.Unlock()
-	}
-	window := ms.UptimeSeconds
-	if window > qpsBuckets {
-		window = qpsBuckets
-	}
-	ms.QPS = 0
-	if window > 0 {
-		ms.QPS = float64(hits) / window
-	}
-	ms.LatP50Ms, ms.LatP95Ms, ms.LatP99Ms = 0, 0, 0
-	if len(ms.lats) > 0 {
-		sort.Float64s(ms.lats)
-		ms.LatP50Ms = percentile(ms.lats, 0.50)
-		ms.LatP95Ms = percentile(ms.lats, 0.95)
-		ms.LatP99Ms = percentile(ms.lats, 0.99)
-	}
+	return json.Marshal(body)
 }
 
 // windowLabel renders a burn window compactly for metric labels ("5m",
@@ -483,103 +411,43 @@ func windowLabel(d time.Duration) string {
 	}
 }
 
-// bucketQuantileMs estimates the p-quantile in milliseconds from
-// per-bucket counts in the obs.DefaultLatencyBuckets layout (same
-// nearest-rank, report-the-upper-bound rule as obs.HistSnapshot.Quantile).
-func bucketQuantileMs(counts []uint64, p float64) float64 {
-	bounds := obs.DefaultLatencyBuckets
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(p * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
-	var cum uint64
-	for i, c := range counts {
-		cum += c
-		if cum >= rank {
-			if i >= len(bounds) {
-				return bounds[len(bounds)-1] * 1000
-			}
-			return bounds[i] * 1000
+// WriteProm renders the snapshot in Prometheus text exposition format
+// (the GET /metrics.prom body). The first write error is returned.
+func (s MetricsSnapshot) WriteProm(w io.Writer) error {
+	p := obs.NewPromWriter(w)
+	for i, d := range scalarMetrics {
+		v := s.Values[i]
+		if d.promScale != 0 {
+			v *= d.promScale
+		}
+		if d.kind == obs.KindCounter {
+			p.Counter(d.prom, d.help, v)
+		} else {
+			p.Gauge(d.prom, d.help, v)
 		}
 	}
-	return bounds[len(bounds)-1] * 1000
-}
 
-// WriteProm renders the metrics in Prometheus text exposition format
-// (the /metrics.prom body). snap must come from the server's metricsView
-// so the cache/pool/CPU/dataset sections are filled in; the per-endpoint
-// histograms are read live from m. The first write error is returned.
-func (m *Metrics) WriteProm(w io.Writer, snap MetricsSnapshot) error {
-	p := obs.NewPromWriter(w)
-	p.Gauge("kspr_uptime_seconds", "Seconds since the server started.", snap.UptimeSeconds)
-	p.Counter("kspr_requests_total", "HTTP requests served across all endpoints.", float64(snap.Requests))
-	p.Counter("kspr_errors_total", "Requests answered with status >= 400, plus per-item failures inside streamed batches.", float64(snap.Errors))
-	p.Counter("kspr_responses_429_total", "Requests shed with 429 (CPU budget exhausted or queue full).", float64(snap.Resp429))
-	p.Gauge("kspr_qps_1m", "Requests per second over the last minute.", snap.QPS)
-
-	// Per-endpoint counters and histograms, in sorted endpoint order so
-	// the exposition is deterministic.
-	type epRow struct {
-		name string
-		es   *endpointStats
-	}
-	var eps []epRow
-	m.byEndpoint.Range(func(k, v any) bool {
-		eps = append(eps, epRow{k.(string), v.(*endpointStats)})
-		return true
-	})
-	sort.Slice(eps, func(i, j int) bool { return eps[i].name < eps[j].name })
-	if len(eps) > 0 {
+	// Per-endpoint counters and histograms, in endpoint name order.
+	if len(s.rows) > 0 {
 		p.Header("kspr_endpoint_requests_total", "Requests per endpoint.", "counter")
-		for _, ep := range eps {
-			p.Sample("kspr_endpoint_requests_total", []obs.Label{{Name: "endpoint", Value: ep.name}}, float64(ep.es.count.Load()))
+		for _, r := range s.rows {
+			p.Sample("kspr_endpoint_requests_total", []obs.Label{{Name: "endpoint", Value: r.es.name}}, float64(r.count))
 		}
 		p.Header("kspr_endpoint_errors_total", "Error responses per endpoint.", "counter")
-		for _, ep := range eps {
-			p.Sample("kspr_endpoint_errors_total", []obs.Label{{Name: "endpoint", Value: ep.name}}, float64(ep.es.errors.Load()))
+		for _, r := range s.rows {
+			p.Sample("kspr_endpoint_errors_total", []obs.Label{{Name: "endpoint", Value: r.es.name}}, float64(r.errors))
 		}
 		p.Header("kspr_request_duration_seconds", "Request latency per endpoint.", "histogram")
-		for _, ep := range eps {
-			p.HistogramSeries("kspr_request_duration_seconds", []obs.Label{{Name: "endpoint", Value: ep.name}}, ep.es.hist.Snapshot())
+		for _, r := range s.rows {
+			p.HistogramSeries("kspr_request_duration_seconds", []obs.Label{{Name: "endpoint", Value: r.es.name}}, r.hist)
 		}
 	}
 
-	p.Counter("kspr_cache_hits_total", "Result cache hits.", float64(snap.Cache.Hits))
-	p.Counter("kspr_cache_misses_total", "Result cache misses.", float64(snap.Cache.Misses))
-	p.Gauge("kspr_cache_entries", "Entries currently cached.", float64(snap.Cache.Entries))
-	p.Counter("kspr_cache_results_migrated_total", "Cached results carried across dataset generations.", float64(snap.Mutations.CacheMigrated))
-	p.Counter("kspr_cache_results_dropped_total", "Cached results orphaned by dataset generations.", float64(snap.Mutations.CacheDropped))
-	p.Gauge("kspr_pool_workers", "Worker pool size.", float64(snap.Pool.Workers))
-	p.Gauge("kspr_pool_depth", "Queued plus running jobs in the worker pool.", float64(snap.Pool.Depth))
-	p.Gauge("kspr_cpu_extra_slots", "Extra CPU slots in the parallelism budget.", float64(snap.CPU.ExtraSlots))
-	p.Gauge("kspr_cpu_slots_in_use", "Extra CPU slots currently held by parallel queries.", float64(snap.CPU.InUse))
-	p.Counter("kspr_mutation_batches_total", "Applied dataset mutation batches.", float64(snap.Mutations.Batches))
-	p.Counter("kspr_mutations_total", "Individual mutations applied.", float64(snap.Mutations.Mutations))
-	p.Counter("kspr_wal_recoveries_total", "Datasets restored by WAL replay at startup.", float64(snap.Mutations.Recoveries))
-	p.Counter("kspr_whatif_probes_total", "What-if impact probes evaluated.", float64(snap.WhatIf.Probes))
-	p.Counter("kspr_whatif_kept_total", "What-if probes absorbed by the incremental keep path.", float64(snap.WhatIf.Kept))
-	keepRate := 0.0
-	if snap.WhatIf.Probes > 0 {
-		keepRate = float64(snap.WhatIf.Kept) / float64(snap.WhatIf.Probes)
-	}
-	p.Gauge("kspr_whatif_keep_rate", "Fraction of what-if probes answered without an engine run.", keepRate)
-	p.Gauge("kspr_datasets", "Datasets currently registered.", float64(len(snap.Datasets)))
-	if len(snap.Datasets) > 0 {
+	if len(s.Datasets) > 0 {
 		// 1 = the candidate index came from the persisted layout (warm
-		// restart), 0 = it was rebuilt cold. Snapshot order is already
-		// sorted by name.
+		// restart), 0 = it was rebuilt cold. Datasets are sorted by name.
 		p.Header("ksprd_index_warm", "Whether the dataset's candidate index was restored warm (1) or rebuilt cold (0).", "gauge")
-		for _, d := range snap.Datasets {
+		for _, d := range s.Datasets {
 			v := 0.0
 			if d.IndexWarm {
 				v = 1.0
@@ -587,30 +455,25 @@ func (m *Metrics) WriteProm(w io.Writer, snap MetricsSnapshot) error {
 			p.Sample("ksprd_index_warm", []obs.Label{{Name: "dataset", Value: d.Name}}, v)
 		}
 	}
-
-	// Go runtime telemetry and binary identity.
-	p.Gauge("ksprd_go_goroutines", "Live goroutines.", float64(snap.Runtime.Goroutines))
-	p.Gauge("ksprd_go_heap_inuse_bytes", "Heap bytes in use (live objects plus unused span tails).", float64(snap.Runtime.HeapInuseBytes))
-	p.Gauge("ksprd_go_gc_pause_p99_seconds", "p99 GC stop-the-world pause since process start.", snap.Runtime.GCPauseP99Ms/1000)
 	p.Header("ksprd_build_info", "Binary identity; the value is always 1, the labels carry the facts.", "gauge")
 	p.Sample("ksprd_build_info", []obs.Label{
-		{Name: "version", Value: snap.Build.Version},
-		{Name: "go", Value: snap.Build.Go},
-		{Name: "goamd64", Value: snap.Build.GOAMD64},
+		{Name: "version", Value: s.Build.Version},
+		{Name: "go", Value: s.Build.Go},
+		{Name: "goamd64", Value: s.Build.GOAMD64},
 	}, 1)
 
 	// SLO burn rates and the rolled-up health verdict (absent when the SLO
 	// engine is off).
-	if snap.SLO != nil {
+	if s.SLO != nil {
 		healthy := 1.0
-		if !snap.SLO.Healthy {
+		if !s.SLO.Healthy {
 			healthy = 0
 		}
 		p.Gauge("ksprd_slo_healthy", "1 when no SLO is actively breaching its burn-rate thresholds.", healthy)
-		p.Gauge("ksprd_health_score", "Overall health score in [0,1]: min over per-SLO scores.", snap.SLO.Score)
-		if len(snap.SLO.Objectives) > 0 {
+		p.Gauge("ksprd_health_score", "Overall health score in [0,1]: min over per-SLO scores.", s.SLO.Score)
+		if len(s.SLO.Objectives) > 0 {
 			p.Header("ksprd_slo_burn_rate", "Error-budget burn rate per SLO and window.", "gauge")
-			for _, st := range snap.SLO.Objectives {
+			for _, st := range s.SLO.Objectives {
 				for _, wb := range st.Windows {
 					p.Sample("ksprd_slo_burn_rate", []obs.Label{
 						{Name: "slo", Value: st.Name},

@@ -1,79 +1,18 @@
 package server
 
 import (
-	"sync"
+	"net/http"
+	"slices"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
-
-// TestMetricsStripedLatencyWindow checks that the striped ring still
-// behaves like one latWindow-sized window: all samples are visible below
-// capacity, and the union caps at latWindow beyond it.
-func TestMetricsStripedLatencyWindow(t *testing.T) {
-	m := NewMetrics()
-	for i := 0; i < 100; i++ {
-		m.Observe("kspr", time.Millisecond, 200)
-	}
-	snap := m.Snapshot()
-	if snap.Requests != 100 {
-		t.Fatalf("requests = %d, want 100", snap.Requests)
-	}
-	if snap.Latency.P50Ms <= 0 {
-		t.Fatalf("p50 = %v, want > 0 after 100 observations", snap.Latency.P50Ms)
-	}
-	for i := 0; i < latWindow*2; i++ {
-		m.Observe("kspr", 2*time.Millisecond, 200)
-	}
-	total := 0
-	for i := range m.stripes {
-		st := &m.stripes[i]
-		st.mu.Lock()
-		total += st.latN
-		st.mu.Unlock()
-	}
-	if total != latWindow {
-		t.Fatalf("stripes hold %d samples, want exactly latWindow=%d", total, latWindow)
-	}
-}
-
-// TestMetricsStripedQPSSum checks that per-second request counts sum
-// exactly across stripes — striping must not change the QPS a snapshot
-// reports.
-func TestMetricsStripedQPSSum(t *testing.T) {
-	m := NewMetrics()
-	const reqs = 512
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < reqs/8; i++ {
-				m.Observe("kspr", time.Millisecond, 200)
-			}
-		}()
-	}
-	wg.Wait()
-	var hits uint64
-	cutoff := time.Now().Unix() - qpsBuckets
-	for i := range m.stripes {
-		st := &m.stripes[i]
-		st.mu.Lock()
-		for _, b := range st.qps {
-			if b.sec > cutoff {
-				hits += b.n
-			}
-		}
-		st.mu.Unlock()
-	}
-	if hits != reqs {
-		t.Fatalf("qps buckets hold %d hits, want %d", hits, reqs)
-	}
-}
 
 // BenchmarkMetricsObserveParallel measures the per-request metrics
 // record under parallel load. Every request of every endpoint passes
-// through Observe, so this lock was the serving stack's only global
-// per-request serialization point before the ring was striped.
+// through Observe, which is atomics plus one histogram add.
 func BenchmarkMetricsObserveParallel(b *testing.B) {
 	m := NewMetrics()
 	d := 3 * time.Millisecond
@@ -83,4 +22,115 @@ func BenchmarkMetricsObserveParallel(b *testing.B) {
 			m.Observe("kspr", d, 200)
 		}
 	})
+}
+
+// snapValue reads a declared scalar metric from a snapshot by JSON key.
+func snapValue(t *testing.T, snap MetricsSnapshot, jsonKey string) float64 {
+	t.Helper()
+	for i, d := range scalarMetrics {
+		if d.json == jsonKey {
+			return snap.Values[i]
+		}
+	}
+	t.Fatalf("no declared metric has JSON key %q", jsonKey)
+	return 0
+}
+
+// jsonValue looks up a "section.key" path in a decoded /metrics body.
+func jsonValue(body map[string]any, path string) (float64, bool) {
+	section, key, nested := strings.Cut(path, ".")
+	v := body[section]
+	if nested {
+		sub, _ := v.(map[string]any)
+		v = sub[key]
+	}
+	f, ok := v.(float64)
+	return f, ok
+}
+
+// TestMetricsDeclaredOnceRenderedThreeWays pins the metrics model: after
+// traffic and one sampler tick, every declared scalar appears under its
+// JSON key in /metrics, as a family in /metrics.prom, and as a series in
+// the history ring, each name used once, and the three renderings agree.
+func TestMetricsDeclaredOnceRenderedThreeWays(t *testing.T) {
+	srv, ts := newTestServer(t, slowTickConfig())
+	loadGenerated(t, ts, "ind", 200, 3, 5)
+	for i := 0; i < 3; i++ {
+		if resp, body := postJSON(t, ts.URL+"/v1/kspr", queryRequest{Dataset: "ind", Focal: i, K: 4}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("query %d: status %d: %s", i, resp.StatusCode, body)
+		}
+	}
+	srv.sampler.tick(time.Now())
+
+	var body map[string]any
+	fetchJSON(t, ts.URL+"/metrics", http.StatusOK, &body)
+	resp, err := http.Get(ts.URL + "/metrics.prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom := map[string]float64{}
+	for _, s := range parseProm(t, readAll(t, resp)) {
+		if len(s.labels) == 0 {
+			prom[s.name] = s.value
+		}
+	}
+	series := map[string]bool{}
+	for _, name := range srv.sampler.ts.SeriesNames() {
+		series[name] = true
+	}
+
+	seen := map[string]bool{}
+	for _, d := range scalarMetrics {
+		for _, name := range []string{"json:" + d.json, "prom:" + d.prom, "series:" + d.series} {
+			if seen[name] {
+				t.Errorf("%s is declared twice", name)
+			}
+			seen[name] = true
+		}
+		if _, ok := jsonValue(body, d.json); !ok {
+			t.Errorf("/metrics has no %q", d.json)
+		}
+		if _, ok := prom[d.prom]; !ok {
+			t.Errorf("/metrics.prom has no family %s", d.prom)
+		}
+		if !series[d.series] {
+			t.Errorf("history ring has no series %s", d.series)
+		}
+	}
+
+	// /metrics and /metrics.prom are not instrumented, so the counters
+	// have not moved since the tick: all three renderings must agree.
+	_, ringReqs, _ := srv.sampler.ts.Latest("requests_total")
+	jsonReqs, _ := jsonValue(body, "requests_total")
+	if jsonReqs < 4 || jsonReqs != prom["kspr_requests_total"] || jsonReqs != ringReqs {
+		t.Fatalf("requests_total: json %v, prom %v, ring %v", jsonReqs, prom["kspr_requests_total"], ringReqs)
+	}
+	// The global latency view is read from the summed endpoint
+	// histograms, so it is a bucket bound and matches the ring's.
+	_, ringP99, _ := srv.sampler.ts.Latest("latency_p99_ms")
+	jsonP99, _ := jsonValue(body, "latency.p99_ms")
+	if jsonP99 <= 0 || jsonP99 != ringP99 {
+		t.Fatalf("latency p99: json %v, ring %v", jsonP99, ringP99)
+	}
+	if !slices.Contains(obs.DefaultLatencyBuckets, jsonP99/1000) {
+		t.Fatalf("latency p99 %v ms is not a bucket bound", jsonP99)
+	}
+	if qps, _ := jsonValue(body, "qps_1m"); qps <= 0 {
+		t.Fatalf("qps_1m = %v after traffic, want > 0", qps)
+	}
+}
+
+// TestQPS1mNeedsHistory pins the documented edge: qps_1m is read from the
+// history ring, so it reads 0 while history is disabled.
+func TestQPS1mNeedsHistory(t *testing.T) {
+	srv, ts := newTestServer(t, Config{HistoryInterval: -1})
+	srv.metrics.Observe("kspr", time.Millisecond, 200)
+	var body map[string]any
+	fetchJSON(t, ts.URL+"/metrics", http.StatusOK, &body)
+	if qps, ok := jsonValue(body, "qps_1m"); !ok || qps != 0 {
+		t.Fatalf("qps_1m = %v (present %v), want 0 with history disabled", qps, ok)
+	}
+	if reqs, _ := jsonValue(body, "requests_total"); reqs != 1 {
+		t.Fatalf("requests_total = %v, want 1", reqs)
+	}
 }

@@ -176,14 +176,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		// candidate indexes cold is serving, but slower than its warm peers —
 		// operators draining/rolling nodes want to see which is which.
 		infos := s.registry.List()
-		warm := make(map[string]bool, len(infos))
-		for _, info := range infos {
-			warm[info.Name] = info.IndexWarm
-		}
 		writeJSON(w, http.StatusOK, map[string]any{
 			"status":     "ready",
 			"datasets":   len(infos),
-			"index_warm": warm,
+			"index_warm": indexWarm(infos),
 		})
 		return
 	}
@@ -193,24 +189,50 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// indexWarm maps each dataset to whether its candidate index was restored
+// warm from the persisted layout.
+func indexWarm(infos []DatasetInfo) map[string]bool {
+	warm := make(map[string]bool, len(infos))
+	for _, info := range infos {
+		warm[info.Name] = info.IndexWarm
+	}
+	return warm
+}
+
 // handleMetricsProm is the Prometheus text exposition of /metrics.
 func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
-	snap := s.metricsView()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.metrics.WriteProm(w, snap)
+	_ = s.metricsView().WriteProm(w)
+}
+
+// readFrame reads every source the declared scalar metrics draw on into
+// f. It allocates nothing, so the sampler tick can call it.
+func (s *Server) readFrame(f *metricsFrame, now time.Time, rt obs.RuntimeStats, qps float64) {
+	*f = metricsFrame{
+		m:           s.metrics,
+		now:         now,
+		qps:         qps,
+		cache:       s.cache.Stats(),
+		poolWorkers: s.pool.Workers(),
+		poolDepth:   s.pool.Depth(),
+		cpuSlots:    s.cpu.Slots(),
+		cpuInUse:    s.cpu.InUse(),
+		datasets:    s.registry.Count(),
+		runtime:     rt,
+	}
 }
 
 // metricsView assembles the full metrics snapshot: the Metrics counters
-// plus the sections owned by other server components.
+// plus the sources and sections owned by other server components.
 func (s *Server) metricsView() MetricsSnapshot {
-	snap := s.metrics.Snapshot()
-	snap.Cache = s.cache.Stats()
-	snap.Pool = PoolStats{Workers: s.pool.Workers(), Depth: s.pool.Depth()}
-	snap.CPU = CPUStats{ExtraSlots: s.cpu.Slots(), InUse: s.cpu.InUse()}
-	snap.Datasets = s.registry.List()
+	now := time.Now()
 	s.rtMu.Lock()
-	snap.Runtime = s.rtScrape.Sample()
+	rt := s.rtScrape.Sample()
 	s.rtMu.Unlock()
+	var f metricsFrame
+	s.readFrame(&f, now, rt, s.sampler.qps1m(now))
+	snap := snapshotOf(&f)
+	snap.Datasets = s.registry.List()
 	snap.Build = obs.ReadBuildInfo()
 	if s.sampler != nil {
 		snap.Build = s.sampler.build

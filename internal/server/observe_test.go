@@ -16,37 +16,6 @@ import (
 	"time"
 )
 
-// TestPercentileNearestRank pins the rounding rule at small sample counts:
-// the index is round(p*(n-1)), so the median of two samples is the UPPER
-// one (the classic ceil(p*n) rule returns the lower, which under-reports
-// p50 until the window fills).
-func TestPercentileNearestRank(t *testing.T) {
-	cases := []struct {
-		sorted []float64
-		p      float64
-		want   float64
-	}{
-		{nil, 0.50, 0},
-		{[]float64{7}, 0.50, 7},
-		{[]float64{7}, 0.99, 7},
-		{[]float64{1, 9}, 0.50, 9}, // the pinned fix: upper of two
-		{[]float64{1, 9}, 0.49, 1},
-		{[]float64{1, 9}, 0.95, 9},
-		{[]float64{1, 5, 9}, 0.50, 5},
-		{[]float64{1, 5, 9}, 0.95, 9},
-		{[]float64{1, 2, 3, 4}, 0.50, 3},
-		{[]float64{1, 2, 3, 4, 5}, 0.50, 3},
-		{[]float64{1, 2, 3, 4, 5}, 0.99, 5},
-		{[]float64{1, 2, 3, 4, 5}, 0.0, 1},
-		{[]float64{1, 2, 3, 4, 5}, 1.0, 5},
-	}
-	for _, c := range cases {
-		if got := percentile(c.sorted, c.p); got != c.want {
-			t.Errorf("percentile(%v, %v) = %v, want %v", c.sorted, c.p, got, c.want)
-		}
-	}
-}
-
 // promSample is one parsed exposition line.
 type promSample struct {
 	name   string
@@ -266,9 +235,8 @@ func TestMetricsRaceStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				snap := m.Snapshot()
 				var buf bytes.Buffer
-				if err := m.WriteProm(&buf, snap); err != nil {
+				if err := m.Snapshot().WriteProm(&buf); err != nil {
 					t.Errorf("WriteProm: %v", err)
 					return
 				}
@@ -277,15 +245,16 @@ func TestMetricsRaceStress(t *testing.T) {
 	}
 	wg.Wait()
 	snap := m.Snapshot()
-	if snap.Requests != 8*500 {
-		t.Fatalf("requests %d, want %d", snap.Requests, 8*500)
+	requests := uint64(snapValue(t, snap, "requests_total"))
+	if requests != 8*500 {
+		t.Fatalf("requests %d, want %d", requests, 8*500)
 	}
 	var sum uint64
-	for _, n := range snap.ByEndpoint {
-		sum += n
+	for _, ep := range snap.LatencyByEndpoint {
+		sum += ep.Requests
 	}
-	if sum != snap.Requests {
-		t.Fatalf("per-endpoint sum %d != total %d", sum, snap.Requests)
+	if sum != requests {
+		t.Fatalf("per-endpoint sum %d != total %d", sum, requests)
 	}
 }
 

@@ -178,7 +178,13 @@ func TestCacheHitMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var snap MetricsSnapshot
+	var snap struct {
+		Requests uint64 `json:"requests_total"`
+		Cache    struct {
+			Hits    uint64  `json:"hits"`
+			HitRate float64 `json:"hit_rate"`
+		} `json:"cache"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
@@ -455,6 +461,22 @@ func TestDatasetAdmin(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("load %s: status %d, want 400", bad, resp.StatusCode)
 		}
+	}
+}
+
+// TestInlineCSVRejectsNonFinite pins that POST /v1/datasets refuses
+// inline CSV carrying NaN, +Inf or -Inf with a 400 and registers nothing.
+func TestInlineCSVRejectsNonFinite(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, bad := range []string{"NaN", "+Inf", "-Inf"} {
+		csv := "a1,a2\n0.1,0.9\n" + bad + ",0.2\n"
+		resp, body := postJSON(t, ts.URL+"/v1/datasets", loadRequest{Name: "bad", CSV: csv})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", bad, resp.StatusCode, body)
+		}
+	}
+	if resp, _ := getJSON(t, ts.URL+"/v1/skyline?dataset=bad", nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("rejected dataset is registered: status %d", resp.StatusCode)
 	}
 }
 

@@ -224,7 +224,13 @@ func (s *Server) handleCompetitors(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	noCache := q.Get("no_cache") == "1" || q.Get("no_cache") == "true"
+	noCache := false
+	if v := q.Get("no_cache"); v != "" {
+		if noCache, err = strconv.ParseBool(v); err != nil {
+			writeError(w, http.StatusBadRequest, "invalid no_cache=%q: %v", v, err)
+			return
+		}
+	}
 	// EXPLAIN mode must actually run (and must not share its traced
 	// response through the cache); see runKSPR.
 	info := reqInfoFrom(r.Context())

@@ -109,6 +109,30 @@ func TestCompetitorsEndpoint(t *testing.T) {
 	}
 }
 
+// TestCompetitorsNoCacheParsing pins that no_cache follows the
+// strconv.ParseBool rule of GET /v1/kspr: TRUE bypasses the cache, and a
+// value ParseBool rejects is a 400.
+func TestCompetitorsNoCacheParsing(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	loadGenerated(t, ts, "comp", 120, 3, 3)
+	snap, _ := srv.Registry().Get("comp")
+	url := fmt.Sprintf("%s/v1/impact:competitors?dataset=comp&focal=%d&k=3&samples=500&seed=5", ts.URL, snap.DB.KSkyband(3)[1])
+
+	var warm, bypass, cached competitorsResponse
+	if resp, body := getJSON(t, url, &warm); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if resp, body := getJSON(t, url+"&no_cache=TRUE", &bypass); resp.StatusCode != http.StatusOK || bypass.Cached {
+		t.Fatalf("no_cache=TRUE: status %d, cached %v: %s", resp.StatusCode, bypass.Cached, body)
+	}
+	if resp, body := getJSON(t, url+"&no_cache=false", &cached); resp.StatusCode != http.StatusOK || !cached.Cached {
+		t.Fatalf("no_cache=false: status %d, cached %v: %s", resp.StatusCode, cached.Cached, body)
+	}
+	if resp, body := getJSON(t, url+"&no_cache=bogus", nil); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("no_cache=bogus: status %d, want 400: %s", resp.StatusCode, body)
+	}
+}
+
 // TestWhatIfPriceEndpoint exercises POST /v1/whatif:price end-to-end:
 // a successful search, the cache round-trip, and the 422 unreachable case.
 func TestWhatIfPriceEndpoint(t *testing.T) {
@@ -154,12 +178,12 @@ func TestWhatIfPriceEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("unreachable target: status %d: %s", resp.StatusCode, body)
 	}
-	probesAfterFirst := srv.metrics.Snapshot().WhatIf.Probes
+	probesAfterFirst := srv.metrics.whatifProbes.Load()
 	resp, body = postJSON(t, ts.URL+"/v1/whatif:price", bad)
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("repeat unreachable target: status %d: %s", resp.StatusCode, body)
 	}
-	if got := srv.metrics.Snapshot().WhatIf.Probes; got != probesAfterFirst {
+	if got := srv.metrics.whatifProbes.Load(); got != probesAfterFirst {
 		t.Fatalf("repeat unreachable target re-ran the search: %d -> %d probes", probesAfterFirst, got)
 	}
 

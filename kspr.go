@@ -171,6 +171,9 @@ func Open(records [][]float64, opts ...DBOption) (*DB, error) {
 		if len(r) != d {
 			return nil, fmt.Errorf("kspr: record %d has %d attributes, want %d", i, len(r), d)
 		}
+		if err := geom.CheckFinite(r); err != nil {
+			return nil, fmt.Errorf("kspr: record %d: %w", i, err)
+		}
 		// No Clone needed: Build packs the records into its own dense
 		// backing array, so the tree never aliases caller memory.
 		recs[i] = geom.Vector(r)
@@ -288,15 +291,6 @@ func WithParallelism(n int) QueryOption {
 // after the query returns. A nil t leaves tracing off.
 func WithTrace(t *Trace) QueryOption {
 	return func(o *core.Options) { o.Trace = t }
-}
-
-// WithParallelBounds runs the query engine on all CPU cores.
-//
-// Deprecated: the engine now parallelizes every expansion phase, not just
-// LP-CTA's rank bounds. Use WithParallelism instead; WithParallelBounds is
-// equivalent to WithParallelism(0).
-func WithParallelBounds() QueryOption {
-	return WithParallelism(0)
 }
 
 // KSPR answers the k-Shortlist Preference Region query for the dataset

@@ -3,7 +3,11 @@ package kspr
 import (
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 func randRecords(rng *rand.Rand, n, d int) [][]float64 {
@@ -27,6 +31,41 @@ func TestOpenValidation(t *testing.T) {
 	}
 	if _, err := Open([][]float64{{1, 2}, {1, 2, 3}}); err == nil {
 		t.Fatal("expected error for ragged records")
+	}
+}
+
+// TestNonFiniteRejectedAtEveryEntryPoint pins the one finiteness rule:
+// NaN, +Inf and -Inf are each refused by Open, by ReadCSV, and as a focal
+// vector (KSPRVector, KSPRApproxVector, a KSPRBatch item).
+func TestNonFiniteRejectedAtEveryEntryPoint(t *testing.T) {
+	db, err := Open([][]float64{{0.1, 0.9}, {0.8, 0.2}, {0.5, 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		name := strconv.FormatFloat(bad, 'g', -1, 64)
+		t.Run(name, func(t *testing.T) {
+			if _, err := Open([][]float64{{0.1, 0.9}, {bad, 0.2}}); err == nil {
+				t.Error("Open accepted a non-finite record")
+			}
+			csv := "a1,a2\n0.1,0.9\n" + name + ",0.2\n"
+			if _, err := dataset.ReadCSV(strings.NewReader(csv), "bad"); err == nil {
+				t.Error("ReadCSV accepted a non-finite value")
+			}
+			if _, err := db.KSPRVector([]float64{0.5, bad}, 1); err == nil {
+				t.Error("KSPRVector accepted a non-finite focal")
+			}
+			if _, err := db.KSPRApproxVector([]float64{bad, 0.5}, 1, 0.1); err == nil {
+				t.Error("KSPRApproxVector accepted a non-finite focal")
+			}
+			out, err := db.KSPRBatch([]BatchQuery{{FocalID: 0}, {FocalID: -1, Focal: []float64{bad, bad}}}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out[0].Err != nil || out[1].Err == nil {
+				t.Errorf("batch outcomes: good item err %v, non-finite item err %v", out[0].Err, out[1].Err)
+			}
+		})
 	}
 }
 
