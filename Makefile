@@ -99,12 +99,13 @@ loadgate:
 	./scripts/check_load.sh
 
 # fuzz smoke-runs the native Go fuzz targets over the untrusted parsers —
-# :mutate body decoding (internal/server) and WAL frame / snapshot /
+# :mutate and :batch body decoding (internal/server) and WAL frame / snapshot /
 # candidate-index decoding (internal/store) — for FUZZTIME each, on top
 # of their committed seed corpora in testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzDecodeMutateRequest -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzDecodeBatchRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeWALPayload -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeIndex -fuzztime $(FUZZTIME)

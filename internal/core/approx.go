@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/celltree"
 	"repro/internal/geom"
@@ -35,7 +36,8 @@ type ApproxOptions struct {
 	// K is the shortlist size.
 	K int
 	// Epsilon is the accuracy target: the measure of the uncertain set,
-	// relative to the whole preference space, that is acceptable.
+	// relative to the whole preference space, that is acceptable. It must
+	// be finite; non-positive means the default, 0.01.
 	Epsilon float64
 	// MaxCells caps the number of boxes examined (0 = 1<<20).
 	MaxCells int
@@ -81,6 +83,9 @@ func RunApprox(tree *rtree.Tree, focal geom.Vector, focalID int, opts ApproxOpti
 	}
 	if err := geom.CheckFinite(focal); err != nil {
 		return nil, fmt.Errorf("core: focal record: %w", err)
+	}
+	if math.IsNaN(opts.Epsilon) || math.IsInf(opts.Epsilon, 0) {
+		return nil, fmt.Errorf("core: epsilon must be finite, got %v", opts.Epsilon)
 	}
 	if opts.Epsilon <= 0 {
 		opts.Epsilon = 0.01

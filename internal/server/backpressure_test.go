@@ -38,10 +38,8 @@ func TestBatch429RetryAfterContract(t *testing.T) {
 		`{"dataset":"ind","k":4,"parallelism":4}`+"\n"+`{"focal":1}`+"\n")
 	defer ndjson.Body.Close()
 	envelope, envBody := postJSON(t, ts.URL+"/v1/kspr:batch", batchRequest{
-		Dataset:     "ind",
-		K:           4,
-		Parallelism: 4,
-		Queries:     []batchQuery{{Focal: 1}},
+		queryRequest: queryRequest{Dataset: "ind", K: 4, Parallelism: 4},
+		Queries:      []batchQuery{{Focal: 1}},
 	})
 
 	for _, tc := range []struct {

@@ -342,7 +342,9 @@ func TestBatchApprox(t *testing.T) {
 // TestBatchItemTimeout: item_timeout_ms bounds each item individually —
 // a batch of expensive items over a tiny per-item budget settles every
 // line with 504 while the envelope (with a generous batch deadline)
-// stays 200.
+// stays 200, and the batch returns long before that deadline. Exact
+// batches bound each item of the shared-work pass; approx batches run
+// each item as its own job under its own deadline.
 func TestBatchItemTimeout(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	body := `{"name":"anti2","generate":{"dist":"ANTI","n":3000,"d":4,"seed":4}}`
@@ -352,24 +354,51 @@ func TestBatchItemTimeout(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	var b bytes.Buffer
-	b.WriteString(`{"dataset":"anti2","k":10,"algorithm":"cta","timeout_ms":30000,"item_timeout_ms":50,"no_cache":true}` + "\n")
-	for i := 0; i < 3; i++ {
-		fmt.Fprintf(&b, `{"focal":%d}`+"\n", 500+i)
-	}
-	r2 := postNDJSON(t, ts.URL+"/v1/kspr:batch", b.String())
-	if r2.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", r2.StatusCode)
-	}
-	lines := readBatchLines(t, r2)
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines, want 3", len(lines))
-	}
-	for i := 0; i < 3; i++ {
-		// Dominated focals finish instantly (fine); expensive ones must
-		// 504 from their per-item budget rather than running unbounded.
-		if lines[i].Error != "" && lines[i].Status != http.StatusGatewayTimeout {
-			t.Fatalf("item %d: status %d (%s), want 504", i, lines[i].Status, lines[i].Error)
+	for _, knobs := range []string{`"algorithm":"cta"`, `"algorithm":"approx","epsilon":1e-4`} {
+		var b bytes.Buffer
+		b.WriteString(`{"dataset":"anti2","k":10,` + knobs + `,"timeout_ms":30000,"item_timeout_ms":50,"no_cache":true}` + "\n")
+		for i := 0; i < 3; i++ {
+			fmt.Fprintf(&b, `{"focal":%d}`+"\n", 500+i)
 		}
+		start := time.Now()
+		r2 := postNDJSON(t, ts.URL+"/v1/kspr:batch", b.String())
+		if r2.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", knobs, r2.StatusCode)
+		}
+		lines := readBatchLines(t, r2)
+		if elapsed := time.Since(start); elapsed > 10*time.Second {
+			t.Fatalf("%s: batch took %v; its items should each stop at 50ms, far before the 30s batch deadline", knobs, elapsed)
+		}
+		if len(lines) != 3 {
+			t.Fatalf("%s: got %d lines, want 3", knobs, len(lines))
+		}
+		for i := 0; i < 3; i++ {
+			// Dominated focals finish instantly (fine); expensive ones must
+			// 504 from their per-item budget rather than running unbounded.
+			if lines[i].Error != "" && lines[i].Status != http.StatusGatewayTimeout {
+				t.Fatalf("%s: item %d: status %d (%s), want 504", knobs, i, lines[i].Status, lines[i].Error)
+			}
+		}
+	}
+}
+
+// TestExactQueryKeyIgnoresEpsilon: epsilon only steers the approx engine,
+// so an exact single query that sets it shares its cache entry with the
+// same batch item (which never carries one).
+func TestExactQueryKeyIgnoresEpsilon(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	loadGenerated(t, ts, "ind", 150, 3, 7)
+
+	resp, body := postJSON(t, ts.URL+"/v1/kspr", queryRequest{Dataset: "ind", Focal: 4, K: 5, Algorithm: "lp-cta", Epsilon: 0.05})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("prime status %d: %s", resp.StatusCode, body)
+	}
+	lines := readBatchLines(t, postNDJSON(t, ts.URL+"/v1/kspr:batch",
+		`{"dataset":"ind","k":5,"algorithm":"lp-cta"}`+"\n"+`{"focal":4}`+"\n"))
+	if lines[0].Error != "" {
+		t.Fatalf("batch item failed: %s", lines[0].Error)
+	}
+	if !lines[0].Result.Cached {
+		t.Fatal("batch item must hit the entry of the exact query that set an ignored epsilon")
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strconv"
 	"time"
 
 	"repro/internal/obs"
@@ -24,6 +23,15 @@ func (s *Server) Flight() *obs.FlightRecorder { return s.flight }
 
 // Journal exposes the server's lifecycle event journal.
 func (s *Server) Journal() *obs.Journal { return s.journal }
+
+// flightRequest is the query string of GET /v1/debug:flight.
+type flightRequest struct {
+	Endpoint     string  `json:"endpoint"`
+	Dataset      string  `json:"dataset"`
+	MinLatencyMs float64 `json:"min_latency_ms"`
+	ErrorsOnly   bool    `json:"errors_only"`
+	Limit        int     `json:"limit"`
+}
 
 // flightResponse is the GET /v1/debug:flight payload.
 type flightResponse struct {
@@ -42,31 +50,20 @@ func (s *Server) handleDebugFlight(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "flight recorder disabled (FlightCapacity < 0)")
 		return
 	}
-	q := r.URL.Query()
-	filter := obs.FlightFilter{Endpoint: q.Get("endpoint"), Dataset: q.Get("dataset")}
-	if raw := q.Get("min_latency_ms"); raw != "" {
-		ms, err := strconv.ParseFloat(raw, 64)
-		if err != nil || ms < 0 {
-			writeError(w, http.StatusBadRequest, "invalid min_latency_ms=%q", raw)
-			return
-		}
-		filter.MinLatency = time.Duration(ms * float64(time.Millisecond))
+	var req flightRequest
+	if !decodeQuery(w, r, &req) {
+		return
 	}
-	if raw := q.Get("errors_only"); raw != "" {
-		v, err := strconv.ParseBool(raw)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid errors_only=%q: %v", raw, err)
-			return
-		}
-		filter.ErrorsOnly = v
+	if req.MinLatencyMs < 0 || req.Limit < 0 {
+		writeError(w, http.StatusBadRequest, "min_latency_ms and limit must be >= 0")
+		return
 	}
-	if raw := q.Get("limit"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, "invalid limit=%q", raw)
-			return
-		}
-		filter.Limit = v
+	filter := obs.FlightFilter{
+		Endpoint:   req.Endpoint,
+		Dataset:    req.Dataset,
+		MinLatency: time.Duration(req.MinLatencyMs * float64(time.Millisecond)),
+		ErrorsOnly: req.ErrorsOnly,
+		Limit:      req.Limit,
 	}
 	events := s.flight.Events(filter)
 	if events == nil {
@@ -77,6 +74,12 @@ func (s *Server) handleDebugFlight(w http.ResponseWriter, r *http.Request) {
 		Stats:          s.flight.Stats(),
 		JournalLastSeq: s.journal.LastSeq(),
 	})
+}
+
+// eventsRequest is the query string of GET /v1/debug:events.
+type eventsRequest struct {
+	Since uint64 `json:"since"`
+	Limit int    `json:"limit"`
 }
 
 // eventsResponse is the GET /v1/debug:events payload.
@@ -91,26 +94,15 @@ type eventsResponse struct {
 // cursor: ?since=N returns events with seq > N (oldest retained first),
 // ?limit=M caps the page.
 func (s *Server) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	var since uint64
-	if raw := q.Get("since"); raw != "" {
-		v, err := strconv.ParseUint(raw, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid since=%q: %v", raw, err)
-			return
-		}
-		since = v
+	var req eventsRequest
+	if !decodeQuery(w, r, &req) {
+		return
 	}
-	limit := 0
-	if raw := q.Get("limit"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, "invalid limit=%q", raw)
-			return
-		}
-		limit = v
+	if req.Limit < 0 {
+		writeError(w, http.StatusBadRequest, "limit must be >= 0, got %d", req.Limit)
+		return
 	}
-	events := s.journal.Since(since, limit)
+	events := s.journal.Since(req.Since, req.Limit)
 	if events == nil {
 		events = []obs.JournalEvent{}
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -9,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -110,9 +108,7 @@ type queryResponse struct {
 	UncertainVolume float64      `json:"uncertain_volume,omitempty"`
 	Converged       *bool        `json:"converged,omitempty"`
 	Stats           statsWire    `json:"stats"`
-	Cached          bool         `json:"cached"`
-	// Trace carries the engine phase breakdown under ?debug=trace.
-	Trace *traceWire `json:"trace,omitempty"`
+	served
 }
 
 type batchQuery struct {
@@ -126,32 +122,21 @@ type batchQuery struct {
 
 // batchRequest is the envelope of a batch call: the whole JSON body in the
 // legacy application/json form (with inline Queries), or the first line of
-// an application/x-ndjson body (items then follow one per line).
+// an application/x-ndjson body (items then follow one per line). Its
+// embedded query knobs apply to every item; K is the default shortlist
+// size for items that do not set their own, and Parallelism is the engine
+// parallelism for the WHOLE batch: the batch runs as one shared-work pass
+// on 1 + granted extra CPU slots. When the budget has slots but all are
+// claimed, the request fails with 429 rather than degrading N queries to
+// one core. Focal and FocalVector belong on the items.
 type batchRequest struct {
-	Dataset string       `json:"dataset"`
+	queryRequest
 	Queries []batchQuery `json:"queries,omitempty"`
-	// K is the default shortlist size for items that do not set their own.
-	K             int     `json:"k,omitempty"`
-	Algorithm     string  `json:"algorithm,omitempty"`
-	Space         string  `json:"space,omitempty"`
-	Bounds        string  `json:"bounds,omitempty"`
-	Epsilon       float64 `json:"epsilon,omitempty"`
-	Volumes       bool    `json:"volumes,omitempty"`
-	VolumeSamples int     `json:"volume_samples,omitempty"`
-	NoGeometry    bool    `json:"no_geometry,omitempty"`
-	Seed          int64   `json:"seed,omitempty"`
-	TimeoutMs     int     `json:"timeout_ms,omitempty"`
 	// ItemTimeoutMs bounds each item's processing time individually
 	// (measured from when the item starts running, not from request
 	// arrival), so one pathological item 504s on its own line instead of
 	// consuming the batch deadline.
-	ItemTimeoutMs int  `json:"item_timeout_ms,omitempty"`
-	NoCache       bool `json:"no_cache,omitempty"`
-	// Parallelism is the engine parallelism for the WHOLE batch: the batch
-	// runs as one shared-work pass on 1 + granted extra CPU slots. When the
-	// budget has slots but all are claimed, the request fails with 429
-	// rather than degrading N queries to one core.
-	Parallelism int `json:"parallelism,omitempty"`
+	ItemTimeoutMs int `json:"item_timeout_ms,omitempty"`
 }
 
 // batchLine is one NDJSON line of the batch stream.
@@ -183,6 +168,12 @@ type topkResponse struct {
 	Generation uint64      `json:"generation"`
 	K          int         `json:"k"`
 	Results    []topkEntry `json:"results"`
+}
+
+type skylineRequest struct {
+	Dataset string `json:"dataset"`
+	// K, when given, asks for the k-skyband instead of the skyline.
+	K *int `json:"k"`
 }
 
 type skylineResponse struct {
@@ -225,7 +216,9 @@ type impactResponse struct {
 	Samples     int     `json:"samples"`
 	Probability float64 `json:"probability"`
 	Regions     int     `json:"regions"`
-	Cached      bool    `json:"cached"`
+	// served.Cached reports whether the underlying kSPR result was a
+	// cache hit.
+	served
 }
 
 // ---- helpers -------------------------------------------------------------
@@ -263,82 +256,39 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// errStatus maps a query error to an HTTP status: deadline expiry is 504
-// (the request-scoped timeout fired mid-query), cancellation 499-style 503,
-// pool shutdown 503, everything else 400 (all remaining library errors are
-// input validation: bad focal, bad k, ...).
-func errStatusCode(err error) int {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled), errors.Is(err, ErrPoolClosed):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusBadRequest
+// The wire names of the engine enums, matched case-insensitively; ""
+// selects the default. "approx" runs the approximate engine, which
+// reuses LP-CTA's candidate machinery.
+var (
+	algorithmNames = map[string]kspr.Algorithm{
+		"": kspr.LPCTA, "lp-cta": kspr.LPCTA, "lpcta": kspr.LPCTA, "approx": kspr.LPCTA,
+		"cta": kspr.CTA, "p-cta": kspr.PCTA, "pcta": kspr.PCTA,
+		"k-skyband": kspr.KSkybandCTA, "kskyband": kspr.KSkybandCTA,
 	}
+	spaceNames = map[string]kspr.Space{
+		"": kspr.Transformed, "transformed": kspr.Transformed, "original": kspr.Original,
+	}
+	boundsNames = map[string]kspr.BoundsMode{
+		"": kspr.FastBounds, "fast": kspr.FastBounds, "fast_bounds": kspr.FastBounds,
+		"group": kspr.GroupBounds, "group_bounds": kspr.GroupBounds,
+		"record": kspr.RecordBounds, "record_bounds": kspr.RecordBounds,
+	}
+)
+
+// parseName resolves one engine enum from its wire name.
+func parseName[T any](kind string, names map[string]T, s string) (T, error) {
+	v, ok := names[strings.ToLower(s)]
+	if !ok {
+		return v, fmt.Errorf("unknown %s %q", kind, s)
+	}
+	return v, nil
 }
 
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
-		return false
-	}
-	return true
-}
-
+// parseAlgorithm resolves an algorithm name and whether it selects the
+// approximate engine.
 func parseAlgorithm(s string) (kspr.Algorithm, bool, error) {
-	switch strings.ToLower(s) {
-	case "", "lp-cta", "lpcta":
-		return kspr.LPCTA, false, nil
-	case "cta":
-		return kspr.CTA, false, nil
-	case "p-cta", "pcta":
-		return kspr.PCTA, false, nil
-	case "k-skyband", "kskyband":
-		return kspr.KSkybandCTA, false, nil
-	case "approx":
-		return kspr.LPCTA, true, nil
-	default:
-		return 0, false, fmt.Errorf("unknown algorithm %q", s)
-	}
-}
-
-func parseSpace(s string) (kspr.Space, error) {
-	switch strings.ToLower(s) {
-	case "", "transformed":
-		return kspr.Transformed, nil
-	case "original":
-		return kspr.Original, nil
-	default:
-		return 0, fmt.Errorf("unknown space %q", s)
-	}
-}
-
-func parseBounds(s string) (kspr.BoundsMode, error) {
-	switch strings.ToLower(s) {
-	case "", "fast", "fast_bounds":
-		return kspr.FastBounds, nil
-	case "group", "group_bounds":
-		return kspr.GroupBounds, nil
-	case "record", "record_bounds":
-		return kspr.RecordBounds, nil
-	default:
-		return 0, fmt.Errorf("unknown bounds mode %q", s)
-	}
-}
-
-// timeout resolves the effective per-request deadline.
-func (s *Server) timeout(ms int) time.Duration {
-	t := s.cfg.DefaultTimeout
-	if ms > 0 {
-		t = time.Duration(ms) * time.Millisecond
-	}
-	if t > s.cfg.MaxTimeout {
-		t = s.cfg.MaxTimeout
-	}
-	return t
+	algo, err := parseName("algorithm", algorithmNames, s)
+	return algo, strings.EqualFold(s, "approx"), err
 }
 
 // ---- dataset admin -------------------------------------------------------
@@ -400,18 +350,7 @@ func (s *Server) handleDatasetLoad(w http.ResponseWriter, r *http.Request) {
 		StoreGeneration: snap.StoreGeneration,
 		Detail:          map[string]any{"records": snap.DB.Len(), "source": snap.Source},
 	})
-	writeJSON(w, http.StatusOK, DatasetInfo{
-		Name:            snap.Name,
-		Generation:      snap.Generation,
-		StoreGeneration: snap.StoreGeneration,
-		Durable:         snap.Durable,
-		Records:         snap.DB.Len(),
-		Dims:            snap.DB.Dim(),
-		Attributes:      snap.Dataset.Attributes,
-		Source:          snap.Source,
-		LoadedAt:        snap.LoadedAt,
-		IndexWarm:       snap.IndexWarm,
-	})
+	writeJSON(w, http.StatusOK, snap.info())
 }
 
 func (s *Server) handleDatasetUnload(w http.ResponseWriter, r *http.Request) {
@@ -424,149 +363,162 @@ func (s *Server) handleDatasetUnload(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"unloaded": name})
 }
 
-// ---- kSPR query ----------------------------------------------------------
+// ---- the canonical kSPR query ------------------------------------------
 
-// cacheKey canonicalizes a query into the result-cache key: it is built
-// from the PARSED algorithm/space/bounds and the effective epsilon, so
-// spelling variants of the same query ("lp-cta", "lpcta", "") share one
-// entry. The generation prefix makes reloads invalidate implicitly.
-func cacheKey(snap *Snapshot, req queryRequest, algo kspr.Algorithm, approx bool,
-	space kspr.Space, bounds kspr.BoundsMode, eps float64) string {
-	var b strings.Builder
-	algoName := algo.String()
-	if approx {
-		algoName = "approx"
+// ksprQuery is one kSPR question in canonical form. Every kSPR entry
+// point (single queries over POST and GET, batch items, /v1/impact, and
+// the mutation path's cache migration) parses its request into one, and
+// it alone owns validation, the cache key, the engine options and the
+// wire rendering. It keeps only the fields the chosen engine reads — an
+// approx query keeps epsilon, an exact one the bounds, volume, geometry
+// and seed knobs — so requests that differ only in an ignored field share
+// one cache entry.
+type ksprQuery struct {
+	// focal is the dataset record asked about, -1 for a focal vector.
+	focal       int
+	focalVector []float64
+	k           int
+	algo        kspr.Algorithm
+	approx      bool
+	space       kspr.Space
+	// eps steers only the approx engine; the fields after it only the
+	// exact ones.
+	eps    float64
+	bounds kspr.BoundsMode
+	// volumes is the Monte-Carlo volume sample count (0 = no volumes).
+	volumes  int
+	geometry bool
+	seed     int64
+}
+
+// ksprSource is what a cached kSPR answer was computed from: the canonical
+// query (the mutation path re-keys the entry from it) and the library
+// result (/v1/impact samples its regions).
+type ksprSource struct {
+	q   ksprQuery
+	raw any // *kspr.Result or *kspr.ApproxResult
+}
+
+// parseKnobs canonicalizes the engine knobs of a request, leaving its
+// focal and k to parseKSPR; a batch envelope is validated with it alone.
+func parseKnobs(req *queryRequest) (ksprQuery, error) {
+	var q ksprQuery
+	var err error
+	if q.algo, q.approx, err = parseAlgorithm(req.Algorithm); err != nil {
+		return q, err
 	}
-	fmt.Fprintf(&b, "%s@%d|kspr|k=%d|a=%s|s=%s|b=%s|v=%t|vs=%d|g=%t|e=%g|seed=%d",
-		snap.Name, snap.Generation, req.K,
-		algoName, space.String(), bounds.String(),
-		req.Volumes, req.VolumeSamples, !req.NoGeometry, eps, req.Seed)
-	if req.FocalVector != nil {
-		b.WriteString("|fv=")
-		for _, v := range req.FocalVector {
-			fmt.Fprintf(&b, "%x,", math.Float64bits(v))
+	if q.space, err = parseName("space", spaceNames, req.Space); err != nil {
+		return q, err
+	}
+	if q.bounds, err = parseName("bounds mode", boundsNames, req.Bounds); err != nil {
+		return q, err
+	}
+	if q.approx {
+		if q.space == kspr.Original {
+			return q, fmt.Errorf("approx queries support only the transformed space")
 		}
+		if q.eps = req.Epsilon; q.eps <= 0 {
+			q.eps = 0.01
+		}
+		return q, nil
+	}
+	q.volumes = normalizeVolumeSamples(req.Volumes, req.VolumeSamples)
+	q.geometry = !req.NoGeometry
+	q.seed = req.Seed
+	return q, nil
+}
+
+// parseKSPR canonicalizes a complete kSPR request.
+func parseKSPR(req *queryRequest) (ksprQuery, error) {
+	q, err := parseKnobs(req)
+	if err != nil {
+		return q, err
+	}
+	return q.at(req.Focal, req.FocalVector, req.K)
+}
+
+// at is q asked about one focal option (a dataset record, or a vector
+// when vector is non-nil) with shortlist size k.
+func (q ksprQuery) at(focal int, vector []float64, k int) (ksprQuery, error) {
+	if k < 1 {
+		return q, fmt.Errorf("k must be >= 1, got %d", k)
+	}
+	q.k, q.focal, q.focalVector = k, focal, vector
+	if vector != nil {
+		q.focal = -1
+	}
+	return q, nil
+}
+
+// key is q's result-cache key. The generation prefix makes reloads and
+// mutations invalidate implicitly, and the parsed enums make spelling
+// variants of one query ("lp-cta", "lpcta", "") share an entry.
+func (q *ksprQuery) key(snap *Snapshot) string {
+	var b strings.Builder
+	b.Grow(128)
+	if q.approx {
+		fmt.Fprintf(&b, "%s@%d|kspr|k=%d|a=approx|e=%g", snap.Name, snap.Generation, q.k, q.eps)
 	} else {
-		fmt.Fprintf(&b, "|f=%d", req.Focal)
+		fmt.Fprintf(&b, "%s@%d|kspr|k=%d|a=%s|s=%s|b=%s|vs=%d|g=%t|seed=%d", snap.Name, snap.Generation, q.k,
+			q.algo.String(), q.space.String(), q.bounds.String(), q.volumes, q.geometry, q.seed)
+	}
+	if q.focalVector == nil {
+		fmt.Fprintf(&b, "|f=%d", q.focal)
+		return b.String()
+	}
+	b.WriteString("|fv=")
+	for _, v := range q.focalVector {
+		fmt.Fprintf(&b, "%x,", math.Float64bits(v))
 	}
 	return b.String()
 }
 
-// cachedQuery is what the result cache stores: the canonical request (the
-// cache key's input, kept so the mutation path can re-key entries across
-// generations), the wire response, and the raw library result (reused by
-// /v1/impact for region-membership sampling). All are immutable once
-// cached.
-type cachedQuery struct {
-	req  queryRequest
-	resp *queryResponse
-	raw  any // *kspr.Result or *kspr.ApproxResult
+// options is the exact engine's option list for q.
+func (q *ksprQuery) options(ctx context.Context, parallelism int) []kspr.QueryOption {
+	opts := []kspr.QueryOption{
+		kspr.WithContext(ctx),
+		kspr.WithAlgorithm(q.algo),
+		kspr.WithSpace(q.space),
+		kspr.WithBoundsMode(q.bounds),
+		kspr.WithSeed(q.seed),
+		kspr.WithParallelism(parallelism),
+		kspr.WithTrace(reqInfoFrom(ctx).Trace()),
+	}
+	if q.volumes > 0 {
+		opts = append(opts, kspr.WithVolumes(q.volumes))
+	}
+	if !q.geometry {
+		opts = append(opts, kspr.WithoutGeometry())
+	}
+	return opts
 }
 
-// runKSPR executes (or serves from cache) one kSPR query on the pool. It
-// returns the wire response plus the raw library result.
-func (s *Server) runKSPR(ctx context.Context, snap *Snapshot, req queryRequest) (*queryResponse, any, error) {
-	algo, approx, err := parseAlgorithm(req.Algorithm)
-	if err != nil {
-		return nil, nil, err
+// run answers q on the calling goroutine.
+func (q *ksprQuery) run(ctx context.Context, db *kspr.DB, parallelism int) (any, error) {
+	switch {
+	case q.approx && q.focalVector != nil:
+		return db.KSPRApproxVectorCtx(ctx, q.focalVector, q.k, q.eps)
+	case q.approx:
+		return db.KSPRApproxCtx(ctx, q.focal, q.k, q.eps)
+	case q.focalVector != nil:
+		return db.KSPRVector(q.focalVector, q.k, q.options(ctx, parallelism)...)
 	}
-	space, err := parseSpace(req.Space)
-	if err != nil {
-		return nil, nil, err
-	}
-	bounds, err := parseBounds(req.Bounds)
-	if err != nil {
-		return nil, nil, err
-	}
-	if req.K < 1 {
-		return nil, nil, fmt.Errorf("k must be >= 1, got %d", req.K)
-	}
-	if approx && space == kspr.Original {
-		return nil, nil, fmt.Errorf("approx queries support only the transformed space")
-	}
-	req.VolumeSamples = normalizeVolumeSamples(req.Volumes, req.VolumeSamples)
-	eps := req.Epsilon
-	if eps <= 0 {
-		eps = 0.01
-	}
+	return db.KSPR(q.focal, q.k, q.options(ctx, parallelism)...)
+}
 
-	// EXPLAIN-mode requests bypass the cache entirely: a hit would have no
-	// phases to report, and a traced response must not be shared with
-	// untraced callers. Slow-query-log traces do not force a miss — a hit
-	// is by definition not slow.
-	info := reqInfoFrom(ctx)
-	useCache := !req.NoCache && !info.Debug()
-	key := cacheKey(snap, req, algo, approx, space, bounds, eps)
-	if useCache {
-		if v, ok := s.cache.Get(key); ok {
-			cq := v.(*cachedQuery)
-			resp := *cq.resp // shallow copy: regions are shared, immutable
-			resp.Cached = true
-			return &resp, cq.raw, nil
-		}
-	}
-
-	// Resolve the parallelism ask now; the actual CPU-slot grant happens on
-	// the worker, so slots are held only while the query runs, not while it
-	// queues.
-	ask := req.Parallelism
-	if ask < 1 {
-		ask = 1
-	}
-	if ask > s.cfg.MaxParallelism {
-		ask = s.cfg.MaxParallelism
-	}
-
-	val, err := s.pool.Submit(ctx, func(ctx context.Context) (any, error) {
-		if approx {
-			if req.FocalVector != nil {
-				return snap.DB.KSPRApproxVectorCtx(ctx, req.FocalVector, req.K, eps)
-			}
-			return snap.DB.KSPRApproxCtx(ctx, req.Focal, req.K, eps)
-		}
-		parallelism := 1
-		if ask > 1 {
-			granted := s.cpu.Acquire(ask - 1)
-			defer s.cpu.Release(granted)
-			parallelism = 1 + granted
-		}
-		opts := []kspr.QueryOption{
-			kspr.WithContext(ctx),
-			kspr.WithAlgorithm(algo),
-			kspr.WithSpace(space),
-			kspr.WithBoundsMode(bounds),
-			kspr.WithSeed(req.Seed),
-			kspr.WithParallelism(parallelism),
-			kspr.WithTrace(info.Trace()),
-		}
-		if req.Volumes {
-			opts = append(opts, kspr.WithVolumes(req.VolumeSamples))
-		}
-		if req.NoGeometry {
-			opts = append(opts, kspr.WithoutGeometry())
-		}
-		if req.FocalVector != nil {
-			return snap.DB.KSPRVector(req.FocalVector, req.K, opts...)
-		}
-		return snap.DB.KSPR(req.Focal, req.K, opts...)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-
+// answer renders an engine result (*kspr.Result or *kspr.ApproxResult) in
+// the wire shape, wrapped as a cache entry.
+func (q *ksprQuery) answer(snap *Snapshot, raw any) *entry[queryResponse] {
 	resp := &queryResponse{
 		Dataset:    snap.Name,
 		Generation: snap.Generation,
-		Focal:      req.Focal,
-		K:          req.K,
-		Space:      space.String(),
+		Focal:      q.focal,
+		K:          q.k,
+		Algorithm:  q.algo.String(),
+		Space:      q.space.String(),
 	}
-	if req.FocalVector != nil {
-		resp.Focal = -1
-	}
-	switch res := val.(type) {
+	switch res := raw.(type) {
 	case *kspr.Result:
-		resp.Algorithm = algo.String()
 		fillResult(resp, snap, res)
 	case *kspr.ApproxResult:
 		resp.Algorithm = "approx"
@@ -576,10 +528,7 @@ func (s *Server) runKSPR(ctx context.Context, snap *Snapshot, req queryRequest) 
 		conv := res.Converged
 		resp.Converged = &conv
 	}
-	if useCache {
-		s.cache.Put(key, &cachedQuery{req: req, resp: resp, raw: val})
-	}
-	return resp, val, nil
+	return &entry[queryResponse]{resp: resp, stats: resp.Stats, src: &ksprSource{q: *q, raw: raw}}
 }
 
 func fillResult(resp *queryResponse, snap *Snapshot, res *kspr.Result) {
@@ -623,101 +572,68 @@ func fillResult(resp *queryResponse, snap *Snapshot, res *kspr.Result) {
 	}
 }
 
-func (s *Server) handleKSPR(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if !decodeBody(w, r, &req) {
-		return
+// ksprJob is q's pipeline job. ask is the engine parallelism the request
+// asked for; itemTimeout, when positive, bounds the engine run from the
+// moment it starts on a worker (a batch's per-item deadline).
+func (s *Server) ksprJob(snap *Snapshot, q ksprQuery, noCache bool, ask int, itemTimeout time.Duration) job[queryResponse] {
+	ask = min(max(ask, 1), s.cfg.MaxParallelism)
+	return job[queryResponse]{
+		key:     q.key(snap),
+		noCache: noCache,
+		compute: func(ctx context.Context) (*entry[queryResponse], error) {
+			if itemTimeout > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, itemTimeout)
+				defer cancel()
+			}
+			// The CPU-slot grant happens here, on the worker, so slots are
+			// held only while the query runs, not while it queues. The
+			// approx engine is serial.
+			parallelism := 1
+			if ask > 1 && !q.approx {
+				granted := s.cpu.Acquire(ask - 1)
+				defer s.cpu.Release(granted)
+				parallelism = 1 + granted
+			}
+			raw, err := q.run(ctx, snap.DB, parallelism)
+			if err != nil {
+				return nil, err
+			}
+			return q.answer(snap, raw), nil
+		},
 	}
-	s.serveKSPR(w, r, req)
 }
 
-// handleKSPRGet is the query-string form of /v1/kspr — the same query
-// surface as the POST body (minus focal_vector, which has no natural
-// query-string encoding), convenient for curl and EXPLAIN-mode poking:
+// POST and GET /v1/kspr. The GET form takes the same fields as query
+// parameters (minus focal_vector, which has no natural query-string
+// encoding), convenient for curl and EXPLAIN-mode poking:
 // GET /v1/kspr?dataset=d&focal=3&k=5&algorithm=lp-cta&debug=trace.
-func (s *Server) handleKSPRGet(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	req := queryRequest{
-		Dataset:   q.Get("dataset"),
-		Algorithm: q.Get("algorithm"),
-		Space:     q.Get("space"),
-		Bounds:    q.Get("bounds"),
+func (req *queryRequest) scope() (string, int) { return req.Dataset, req.TimeoutMs }
+
+func (req *queryRequest) plan(_ context.Context, s *Server, snap *Snapshot) (job[queryResponse], error) {
+	q, err := parseKSPR(req)
+	if err != nil {
+		return job[queryResponse]{}, err
 	}
-	intFields := map[string]*int{
-		"focal": &req.Focal, "k": &req.K,
-		"volume_samples": &req.VolumeSamples,
-		"timeout_ms":     &req.TimeoutMs,
-		"parallelism":    &req.Parallelism,
-	}
-	for name, dst := range intFields {
-		raw := q.Get(name)
-		if raw == "" {
-			continue
-		}
-		v, err := strconv.Atoi(raw)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid %s=%q: %v", name, raw, err)
-			return
-		}
-		*dst = v
-	}
-	boolFields := map[string]*bool{
-		"volumes": &req.Volumes, "no_geometry": &req.NoGeometry, "no_cache": &req.NoCache,
-	}
-	for name, dst := range boolFields {
-		raw := q.Get(name)
-		if raw == "" {
-			continue
-		}
-		v, err := strconv.ParseBool(raw)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid %s=%q: %v", name, raw, err)
-			return
-		}
-		*dst = v
-	}
-	if raw := q.Get("epsilon"); raw != "" {
-		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid epsilon=%q: %v", raw, err)
-			return
-		}
-		req.Epsilon = v
-	}
-	if raw := q.Get("seed"); raw != "" {
-		v, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid seed=%q: %v", raw, err)
-			return
-		}
-		req.Seed = v
-	}
-	s.serveKSPR(w, r, req)
+	return s.ksprJob(snap, q, req.NoCache, req.Parallelism, 0), nil
 }
 
-// serveKSPR is the shared tail of the GET and POST query handlers.
-func (s *Server) serveKSPR(w http.ResponseWriter, r *http.Request, req queryRequest) {
-	snap, ok := s.registry.Get(req.Dataset)
-	if !ok {
-		writeError(w, http.StatusNotFound, "dataset %q not found", req.Dataset)
-		return
-	}
-	info := reqInfoFrom(r.Context())
-	info.noteDataset(snap)
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMs))
-	defer cancel()
-	resp, _, err := s.runKSPR(ctx, snap, req)
+// runKSPR answers one kSPR request through the pipeline's cache → pool
+// path off the HTTP surface (/v1/impact's region source). It returns the
+// wire response plus the raw library result.
+func (s *Server) runKSPR(ctx context.Context, snap *Snapshot, req queryRequest) (*queryResponse, any, error) {
+	j, err := req.plan(ctx, s, snap)
 	if err != nil {
-		writeError(w, errStatusCode(err), "%v", err)
-		return
+		return nil, nil, err
 	}
-	info.noteCached(resp.Cached)
-	info.noteStats(resp.Stats)
-	if info.Debug() {
-		resp.Trace = traceToWire(info)
+	e, resp, _, err := resolve(ctx, s, j)
+	if err != nil {
+		return nil, nil, err
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, e.src.(*ksprSource).raw, nil
 }
+
+// ---- batch ---------------------------------------------------------------
 
 // batchEmitter serializes the batch stream: every item settles exactly
 // once (parse error, cache hit, engine outcome, or abort), lines land on a
@@ -747,6 +663,11 @@ func (e *batchEmitter) settle(i int, line batchLine) {
 	e.lines <- line
 }
 
+// fail settles item i with err's message and status.
+func (e *batchEmitter) fail(i int, err error) {
+	e.settle(i, batchLine{Index: i, Error: err.Error(), Status: errStatusCode(err)})
+}
+
 // finish settles every remaining item with err (or a generic abort) and
 // closes the stream.
 func (e *batchEmitter) finish(err error) {
@@ -771,59 +692,51 @@ func (e *batchEmitter) finish(err error) {
 
 // decodeBatchRequest reads a batch call in either wire form: a plain JSON
 // envelope with inline queries, or (Content-Type application/x-ndjson) an
-// envelope line followed by one item per line. A malformed NDJSON item
-// line becomes a per-item parse error at its index — the surrounding batch
-// still runs — while envelope-level problems reject the whole request.
-func (s *Server) decodeBatchRequest(w http.ResponseWriter, r *http.Request) (batchRequest, []batchQuery, map[int]string, bool) {
+// envelope line followed by one item per line, collected into Queries. A
+// malformed NDJSON item line becomes a per-item parse error at its index —
+// the surrounding batch still runs — while envelope-level problems reject
+// the whole request.
+func (s *Server) decodeBatchRequest(w http.ResponseWriter, r *http.Request) (batchRequest, map[int]string, bool) {
 	var req batchRequest
 	if !strings.Contains(r.Header.Get("Content-Type"), "ndjson") {
-		if !decodeBody(w, r, &req) {
-			return req, nil, nil, false
-		}
-		return req, req.Queries, nil, true
+		return req, nil, decodeBody(w, r, &req)
 	}
-	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, 16<<20))
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	var items []batchQuery
 	parseErrs := make(map[int]string)
 	header := false
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.DisallowUnknownFields()
+	err := eachLine(w, r, func(line []byte) error {
 		if !header {
 			header = true
-			if err := dec.Decode(&req); err != nil {
-				writeError(w, http.StatusBadRequest, "invalid batch header line: %v", err)
-				return req, nil, nil, false
+			if err := decodeJSON(bytes.NewReader(line), &req); err != nil {
+				return fmt.Errorf("invalid batch header line: %w", err)
 			}
 			if len(req.Queries) > 0 {
-				writeError(w, http.StatusBadRequest,
-					"ndjson batch: send items as body lines, not in the header's queries field")
-				return req, nil, nil, false
+				return errors.New("ndjson batch: send items as body lines, not in the header's queries field")
 			}
-			continue
+			return nil
 		}
 		var q batchQuery
-		if err := dec.Decode(&q); err != nil {
-			parseErrs[len(items)] = fmt.Sprintf("invalid batch item: %v", err)
-			items = append(items, batchQuery{})
-			continue
+		if err := decodeJSON(bytes.NewReader(line), &q); err != nil {
+			parseErrs[len(req.Queries)] = fmt.Sprintf("invalid batch item: %v", err)
+			q = batchQuery{}
 		}
-		items = append(items, q)
+		req.Queries = append(req.Queries, q)
+		return nil
+	})
+	if err == nil && !header {
+		err = errors.New("empty ndjson body: want a header line, then one item per line")
 	}
-	if err := sc.Err(); err != nil {
-		writeError(w, http.StatusBadRequest, "reading ndjson body: %v", err)
-		return req, nil, nil, false
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return req, nil, false
 	}
-	if !header {
-		writeError(w, http.StatusBadRequest, "empty ndjson body: want a header line, then one item per line")
-		return req, nil, nil, false
-	}
-	return req, items, parseErrs, true
+	return req, parseErrs, true
+}
+
+// batchItem is a batch item that needs engine work.
+type batchItem struct {
+	i   int
+	q   ksprQuery
+	key string // "" when the batch bypasses the cache
 }
 
 // handleBatch answers a panel of kSPR queries as ONE shared-work engine
@@ -833,94 +746,71 @@ func (s *Server) decodeBatchRequest(w http.ResponseWriter, r *http.Request) (bat
 // stream first in item order; computed items follow in completion order;
 // every line carries its input index. Per-item failures are lines, not
 // HTTP errors; the HTTP status covers only the envelope (400/404/429).
+// Approx batches have no shared-work pass: their items run as individual
+// pool jobs through the single-query path.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	req, items, parseErrs, ok := s.decodeBatchRequest(w, r)
+	req, parseErrs, ok := s.decodeBatchRequest(w, r)
 	if !ok {
 		return
 	}
-	snap, ok := s.registry.Get(req.Dataset)
+	items := req.Queries
+	snap, ok := s.snapshot(w, r, req.Dataset)
 	if !ok {
-		writeError(w, http.StatusNotFound, "dataset %q not found", req.Dataset)
 		return
 	}
-	reqInfoFrom(r.Context()).noteDataset(snap)
-	if len(items) == 0 {
+	switch {
+	case len(items) == 0:
 		writeError(w, http.StatusBadRequest, "batch has no queries")
 		return
-	}
-	if len(items) > s.cfg.MaxBatch {
+	case len(items) > s.cfg.MaxBatch:
 		writeError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(items), s.cfg.MaxBatch)
 		return
+	case req.Focal != 0 || req.FocalVector != nil:
+		writeError(w, http.StatusBadRequest, "batch envelope: focal and focal_vector belong on the items")
+		return
 	}
-	algo, approx, err := parseAlgorithm(req.Algorithm)
+	base, err := parseKnobs(&req.queryRequest)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	space, err := parseSpace(req.Space)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	bounds, err := parseBounds(req.Bounds)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if approx && space == kspr.Original {
-		writeError(w, http.StatusBadRequest, "approx queries support only the transformed space")
-		return
-	}
-	req.VolumeSamples = normalizeVolumeSamples(req.Volumes, req.VolumeSamples)
+	itemTimeout := time.Duration(req.ItemTimeoutMs) * time.Millisecond
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMs))
 	defer cancel()
 	// Under ?debug=trace the batch skips the result cache (traced runs must
 	// actually run) and appends one trailer line with the batch-wide phase
 	// breakdown; see batchLine.Trace.
 	info := reqInfoFrom(ctx)
-
-	emitter := newBatchEmitter(len(items))
+	useCache := cacheable(ctx, req.NoCache)
 
 	// Settle what needs no engine work: malformed items, invalid k, cache
-	// hits. queries collects the rest, idx mapping engine order back to
-	// item order.
-	var queries []kspr.BatchQuery
-	var idx []int
-	var keys []string
-	var reqs []queryRequest
-	for i, q := range items {
+	// hits (approx items probe the cache when they run). todo collects the
+	// rest, in engine order.
+	emitter := newBatchEmitter(len(items))
+	var todo []batchItem
+	for i, it := range items {
 		if msg, bad := parseErrs[i]; bad {
 			emitter.settle(i, batchLine{Index: i, Error: msg, Status: http.StatusBadRequest})
 			continue
 		}
-		k := q.K
+		k := it.K
 		if k == 0 {
 			k = req.K
 		}
-		if k < 1 {
-			emitter.settle(i, batchLine{Index: i,
-				Error: fmt.Sprintf("k must be >= 1, got %d", k), Status: http.StatusBadRequest})
+		q, err := base.at(it.Focal, it.FocalVector, k)
+		if err != nil {
+			emitter.fail(i, err)
 			continue
 		}
-		qr := s.batchItemRequest(req, q, k)
-		key := cacheKey(snap, qr, algo, approx, space, bounds, 0.01)
-		if !req.NoCache && !approx && !info.Debug() {
-			if v, cached := s.cache.Get(key); cached {
-				cq := v.(*cachedQuery)
-				resp := *cq.resp
-				resp.Cached = true
-				emitter.settle(i, batchLine{Index: i, Result: &resp})
+		var key string
+		if useCache && !q.approx {
+			key = q.key(snap)
+			if e, hit := cached[queryResponse](s, key); hit {
+				emitter.settle(i, batchLine{Index: i, Result: markCached(e.resp)})
 				continue
 			}
 		}
-		bq := kspr.BatchQuery{FocalID: q.Focal, K: k}
-		if q.FocalVector != nil {
-			bq.FocalID, bq.Focal = -1, q.FocalVector
-		}
-		queries = append(queries, bq)
-		idx = append(idx, i)
-		keys = append(keys, key)
-		reqs = append(reqs, qr)
+		todo = append(todo, batchItem{i: i, q: q, key: key})
 	}
 
 	// Grant engine parallelism for the whole batch from the shared CPU
@@ -929,12 +819,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// The approx path never uses engine parallelism, so it acquires
 	// nothing.
 	parallelism := 1
-	ask := req.Parallelism
-	if ask > s.cfg.MaxParallelism {
-		ask = s.cfg.MaxParallelism
-	}
+	ask := min(req.Parallelism, s.cfg.MaxParallelism)
 	var granted int
-	if len(queries) > 0 && ask > 1 && !approx {
+	if len(todo) > 0 && ask > 1 && !base.approx {
 		granted, err = s.cpu.AcquireRequired(ask - 1)
 		if err != nil {
 			// A shed batch is a store-level incident worth correlating
@@ -958,46 +845,36 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 
-	if len(queries) == 0 {
+	switch {
+	case len(todo) == 0:
 		emitter.finish(nil)
-	} else if approx {
-		go s.runBatchApprox(ctx, snap, req, queries, idx, emitter)
-	} else {
+	case base.approx:
+		go s.runBatchApprox(ctx, snap, req.NoCache, itemTimeout, todo, emitter)
+	default:
 		go func() {
 			defer s.cpu.Release(granted)
+			queries := make([]kspr.BatchQuery, len(todo))
+			for j, it := range todo {
+				queries[j] = kspr.BatchQuery{FocalID: it.q.focal, Focal: it.q.focalVector, K: it.q.k}
+			}
 			_, err := s.pool.Submit(ctx, func(ctx context.Context) (any, error) {
-				qopts := []kspr.QueryOption{
-					kspr.WithContext(ctx),
-					kspr.WithAlgorithm(algo),
-					kspr.WithSpace(space),
-					kspr.WithBoundsMode(bounds),
-					kspr.WithSeed(req.Seed),
-					kspr.WithParallelism(parallelism),
-					kspr.WithTrace(info.Trace()),
-				}
-				if req.Volumes {
-					qopts = append(qopts, kspr.WithVolumes(req.VolumeSamples))
-				}
-				if req.NoGeometry {
-					qopts = append(qopts, kspr.WithoutGeometry())
-				}
 				bopts := []kspr.BatchOption{
-					kspr.WithBatchOptions(qopts...),
+					kspr.WithBatchOptions(base.options(ctx, parallelism)...),
 					kspr.WithBatchOnOutcome(func(j int, o kspr.BatchOutcome) {
-						i := idx[j]
+						it := &todo[j]
 						if o.Err != nil {
-							emitter.settle(i, batchLine{Index: i, Error: o.Err.Error(), Status: errStatusCode(o.Err)})
+							emitter.fail(it.i, o.Err)
 							return
 						}
-						resp := s.batchItemResponse(snap, items[i], queries[j], algo, space, o.Result)
-						if !req.NoCache && !info.Debug() {
-							s.cache.Put(keys[j], &cachedQuery{req: reqs[j], resp: resp, raw: o.Result})
+						e := it.q.answer(snap, o.Result)
+						if it.key != "" {
+							s.cache.Put(it.key, e)
 						}
-						emitter.settle(i, batchLine{Index: i, Result: resp})
+						emitter.settle(it.i, batchLine{Index: it.i, Result: e.resp})
 					}),
 				}
-				if req.ItemTimeoutMs > 0 {
-					bopts = append(bopts, kspr.WithBatchItemTimeout(time.Duration(req.ItemTimeoutMs)*time.Millisecond))
+				if itemTimeout > 0 {
+					bopts = append(bopts, kspr.WithBatchItemTimeout(itemTimeout))
 				}
 				return snap.DB.KSPRBatch(queries, 0, bopts...)
 			})
@@ -1029,83 +906,30 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// The stream itself is always 200, so surface per-query failures to
 	// the error counters explicitly — operators alert on errors_total.
 	s.metrics.AddErrors(failed)
-	reqInfoFrom(r.Context()).noteStats(map[string]any{
-		"items": len(items), "computed": len(queries), "failed": failed,
+	info.noteStats(map[string]any{
+		"items": len(items), "computed": len(todo), "failed": failed,
 		"parallelism": parallelism,
 	})
 }
 
-// batchItemRequest maps one batch item to the equivalent single-query
-// request, the canonical input of the result-cache key (so batch and
-// single-query traffic share cache entries).
-func (s *Server) batchItemRequest(req batchRequest, q batchQuery, k int) queryRequest {
-	return queryRequest{
-		Dataset:       req.Dataset,
-		Focal:         q.Focal,
-		FocalVector:   q.FocalVector,
-		K:             k,
-		Algorithm:     req.Algorithm,
-		Space:         req.Space,
-		Bounds:        req.Bounds,
-		Volumes:       req.Volumes,
-		VolumeSamples: req.VolumeSamples,
-		NoGeometry:    req.NoGeometry,
-		Seed:          req.Seed,
-	}
-}
-
-// batchItemResponse renders one engine outcome in the single-query wire
-// shape.
-func (s *Server) batchItemResponse(snap *Snapshot, item batchQuery, bq kspr.BatchQuery,
-	algo kspr.Algorithm, space kspr.Space, res *kspr.Result) *queryResponse {
-	resp := &queryResponse{
-		Dataset:    snap.Name,
-		Generation: snap.Generation,
-		Focal:      item.Focal,
-		K:          bq.K,
-		Algorithm:  algo.String(),
-		Space:      space.String(),
-	}
-	if item.FocalVector != nil {
-		resp.Focal = -1
-	}
-	fillResult(resp, snap, res)
-	return resp
-}
-
 // runBatchApprox serves an approx-algorithm batch: the approximate engine
-// has no shared-work pass, so items fan out as individual pool tasks (the
-// pre-batch behaviour) and settle on the shared emitter.
-func (s *Server) runBatchApprox(ctx context.Context, snap *Snapshot, req batchRequest,
-	queries []kspr.BatchQuery, idx []int, emitter *batchEmitter) {
+// has no shared-work pass, so each item runs as its own pipeline job (cache
+// probe included) under its own item deadline, settling on the shared
+// emitter.
+func (s *Server) runBatchApprox(ctx context.Context, snap *Snapshot, noCache bool,
+	itemTimeout time.Duration, todo []batchItem, emitter *batchEmitter) {
 	var wg sync.WaitGroup
-	for j := range queries {
+	for _, it := range todo {
 		wg.Add(1)
-		go func(j int) {
+		go func() {
 			defer wg.Done()
-			q := queries[j]
-			i := idx[j]
-			qr := queryRequest{
-				Dataset:     req.Dataset,
-				Focal:       q.FocalID,
-				FocalVector: q.Focal,
-				K:           q.K,
-				Algorithm:   req.Algorithm,
-				Space:       req.Space,
-				Bounds:      req.Bounds,
-				Epsilon:     req.Epsilon,
-				Volumes:     req.Volumes,
-				NoGeometry:  req.NoGeometry,
-				Seed:        req.Seed,
-				NoCache:     req.NoCache,
-			}
-			resp, _, err := s.runKSPR(ctx, snap, qr)
+			_, resp, _, err := resolve(ctx, s, s.ksprJob(snap, it.q, noCache, 1, itemTimeout))
 			if err != nil {
-				emitter.settle(i, batchLine{Index: i, Error: err.Error(), Status: errStatusCode(err)})
+				emitter.fail(it.i, err)
 				return
 			}
-			emitter.settle(i, batchLine{Index: i, Result: resp})
-		}(j)
+			emitter.settle(it.i, batchLine{Index: it.i, Result: resp})
+		}()
 	}
 	wg.Wait()
 	emitter.finish(nil)
@@ -1113,45 +937,27 @@ func (s *Server) runBatchApprox(ctx context.Context, snap *Snapshot, req batchRe
 
 // ---- top-k / skyline / impact -------------------------------------------
 
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	var req topkRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	snap, ok := s.registry.Get(req.Dataset)
-	if !ok {
-		writeError(w, http.StatusNotFound, "dataset %q not found", req.Dataset)
-		return
-	}
-	reqInfoFrom(r.Context()).noteDataset(snap)
+func (req *topkRequest) scope() (string, int) { return req.Dataset, 0 }
+
+func (req *topkRequest) plan(_ context.Context, _ *Server, snap *Snapshot) (job[topkResponse], error) {
 	if req.K < 1 {
-		writeError(w, http.StatusBadRequest, "k must be >= 1, got %d", req.K)
-		return
+		return job[topkResponse]{}, fmt.Errorf("k must be >= 1, got %d", req.K)
 	}
 	if len(req.Weights) != snap.DB.Dim() {
-		writeError(w, http.StatusBadRequest, "weights have %d entries, dataset has %d attributes",
+		return job[topkResponse]{}, fmt.Errorf("weights have %d entries, dataset has %d attributes",
 			len(req.Weights), snap.DB.Dim())
-		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(0))
-	defer cancel()
-	val, err := s.pool.Submit(ctx, func(context.Context) (any, error) {
-		return snap.DB.TopK(req.Weights, req.K), nil
-	})
-	if err != nil {
-		writeError(w, errStatusCode(err), "%v", err)
-		return
-	}
-	ids := val.([]int)
-	resp := topkResponse{Dataset: snap.Name, Generation: snap.Generation, K: req.K}
-	for _, id := range ids {
-		e := topkEntry{ID: id, Score: dot(snap.DB.Record(id), req.Weights)}
-		if id < len(snap.Dataset.Labels) {
-			e.Label = snap.Dataset.Labels[id]
+	return job[topkResponse]{compute: func(context.Context) (*entry[topkResponse], error) {
+		resp := &topkResponse{Dataset: snap.Name, Generation: snap.Generation, K: req.K}
+		for _, id := range snap.DB.TopK(req.Weights, req.K) {
+			e := topkEntry{ID: id, Score: dot(snap.DB.Record(id), req.Weights)}
+			if id < len(snap.Dataset.Labels) {
+				e.Label = snap.Dataset.Labels[id]
+			}
+			resp.Results = append(resp.Results, e)
 		}
-		resp.Results = append(resp.Results, e)
-	}
-	writeJSON(w, http.StatusOK, resp)
+		return &entry[topkResponse]{resp: resp}, nil
+	}}, nil
 }
 
 func dot(a, b []float64) float64 {
@@ -1162,46 +968,33 @@ func dot(a, b []float64) float64 {
 	return s
 }
 
-func (s *Server) handleSkyline(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("dataset")
-	snap, ok := s.registry.Get(name)
-	if !ok {
-		writeError(w, http.StatusNotFound, "dataset %q not found", name)
-		return
-	}
-	reqInfoFrom(r.Context()).noteDataset(snap)
+func (req *skylineRequest) scope() (string, int) { return req.Dataset, 0 }
+
+func (req *skylineRequest) plan(_ context.Context, _ *Server, snap *Snapshot) (job[skylineResponse], error) {
 	k := 0
-	if ks := r.URL.Query().Get("k"); ks != "" {
-		var err error
-		k, err = strconv.Atoi(ks)
-		if err != nil || k < 1 {
-			writeError(w, http.StatusBadRequest, "invalid k %q", ks)
-			return
+	if req.K != nil {
+		if k = *req.K; k < 1 {
+			return job[skylineResponse]{}, fmt.Errorf("k must be >= 1, got %d", k)
 		}
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(0))
-	defer cancel()
-	val, err := s.pool.Submit(ctx, func(context.Context) (any, error) {
+	return job[skylineResponse]{compute: func(context.Context) (*entry[skylineResponse], error) {
+		var ids []int
 		if k > 0 {
-			return snap.DB.KSkyband(k), nil
+			ids = snap.DB.KSkyband(k)
+		} else {
+			ids = snap.DB.Skyline()
 		}
-		return snap.DB.Skyline(), nil
-	})
-	if err != nil {
-		writeError(w, errStatusCode(err), "%v", err)
-		return
-	}
-	ids := val.([]int)
-	resp := skylineResponse{Dataset: snap.Name, Generation: snap.Generation, K: k, IDs: ids, Count: len(ids)}
-	if len(snap.Dataset.Labels) > 0 {
-		resp.Labels = make([]string, len(ids))
-		for i, id := range ids {
-			if id < len(snap.Dataset.Labels) {
-				resp.Labels[i] = snap.Dataset.Labels[id]
+		resp := &skylineResponse{Dataset: snap.Name, Generation: snap.Generation, K: k, IDs: ids, Count: len(ids)}
+		if len(snap.Dataset.Labels) > 0 {
+			resp.Labels = make([]string, len(ids))
+			for i, id := range ids {
+				if id < len(snap.Dataset.Labels) {
+					resp.Labels[i] = snap.Dataset.Labels[id]
+				}
 			}
 		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+		return &entry[skylineResponse]{resp: resp}, nil
+	}}, nil
 }
 
 // buildDensity maps a named preference density to a pdf over original-space
@@ -1256,46 +1049,31 @@ func buildDensity(req *densityReq, d int) (func(w []float64) float64, string, er
 	}
 }
 
-// handleImpact answers §1's market-impact question: the probability mass of
+// /v1/impact answers §1's market-impact question: the probability mass of
 // the focal record's kSPR regions under a named preference density. The
-// underlying kSPR result comes from runKSPR, so it is cached and
-// deadline-bounded like any other query.
-func (s *Server) handleImpact(w http.ResponseWriter, r *http.Request) {
-	var req impactRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	snap, ok := s.registry.Get(req.Dataset)
-	if !ok {
-		writeError(w, http.StatusNotFound, "dataset %q not found", req.Dataset)
-		return
-	}
-	reqInfoFrom(r.Context()).noteDataset(snap)
+// regions come from runKSPR, so they are cached and deadline-bounded like
+// any other query; the sampling itself is this request's job.
+func (req *impactRequest) scope() (string, int) { return req.Dataset, req.TimeoutMs }
+
+func (req *impactRequest) plan(ctx context.Context, s *Server, snap *Snapshot) (job[impactResponse], error) {
 	// Region-membership sampling needs an exact kSPR result; reject approx
 	// upfront rather than after burning a worker on the query.
 	if _, approx, err := parseAlgorithm(req.Algorithm); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return job[impactResponse]{}, err
 	} else if approx {
-		writeError(w, http.StatusBadRequest, "impact needs an exact algorithm (cta, p-cta, lp-cta, k-skyband)")
-		return
+		return job[impactResponse]{}, errors.New("impact needs an exact algorithm (cta, p-cta, lp-cta, k-skyband)")
 	}
 	pdf, densityName, err := buildDensity(req.Density, snap.DB.Dim())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if req.Samples <= 0 {
-		req.Samples = 20000
+		return job[impactResponse]{}, err
 	}
 	// The sampling loop is not cancellable, so bound the work a single
 	// request can demand of a pool worker.
-	if req.Samples > maxImpactSamples {
-		req.Samples = maxImpactSamples
+	samples := req.Samples
+	if samples <= 0 {
+		samples = 20000
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMs))
-	defer cancel()
-
+	samples = min(samples, maxImpactSamples)
 	qresp, raw, err := s.runKSPR(ctx, snap, queryRequest{
 		Dataset:   req.Dataset,
 		Focal:     req.Focal,
@@ -1305,32 +1083,22 @@ func (s *Server) handleImpact(w http.ResponseWriter, r *http.Request) {
 		NoCache:   req.NoCache,
 	})
 	if err != nil {
-		writeError(w, errStatusCode(err), "%v", err)
-		return
+		return job[impactResponse]{}, err
 	}
-	res, ok := raw.(*kspr.Result)
-	if !ok {
-		writeError(w, http.StatusBadRequest, "impact needs an exact algorithm (cta, p-cta, lp-cta, k-skyband)")
-		return
-	}
-	val, err := s.pool.Submit(ctx, func(context.Context) (any, error) {
-		return snap.DB.ImpactProbabilityPDF(res, pdf, req.Samples, req.Seed), nil
-	})
-	if err != nil {
-		writeError(w, errStatusCode(err), "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, impactResponse{
-		Dataset:     snap.Name,
-		Generation:  snap.Generation,
-		Focal:       req.Focal,
-		K:           req.K,
-		Density:     densityName,
-		Samples:     req.Samples,
-		Probability: val.(float64),
-		Regions:     qresp.Stats.Regions,
-		Cached:      qresp.Cached,
-	})
+	return job[impactResponse]{compute: func(context.Context) (*entry[impactResponse], error) {
+		resp := &impactResponse{
+			Dataset:     snap.Name,
+			Generation:  snap.Generation,
+			Focal:       req.Focal,
+			K:           req.K,
+			Density:     densityName,
+			Samples:     samples,
+			Probability: snap.DB.ImpactProbabilityPDF(raw.(*kspr.Result), pdf, samples, req.Seed),
+			Regions:     qresp.Stats.Regions,
+		}
+		resp.Cached = qresp.Cached
+		return &entry[impactResponse]{resp: resp}, nil
+	}}, nil
 }
 
 // ---- health & metrics ----------------------------------------------------

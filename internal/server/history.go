@@ -397,6 +397,13 @@ var defaultHistorySeries = []string{
 	"goroutines", "heap_inuse_bytes",
 }
 
+// historyRequest is the query string of GET /v1/debug:history.
+type historyRequest struct {
+	Series   string   `json:"series"`
+	SinceSec *float64 `json:"since_sec"`
+	StepSec  float64  `json:"step_sec"`
+}
+
 // historyResponse is the GET /v1/debug:history payload: aligned columns of
 // the selected series (null where a series missed a tick), plus the full
 // series catalogue for discovery.
@@ -420,36 +427,34 @@ func (s *Server) handleDebugHistory(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "telemetry history disabled (HistoryInterval < 0)")
 		return
 	}
-	q := r.URL.Query()
+	var req historyRequest
+	if !decodeQuery(w, r, &req) {
+		return
+	}
 	names := defaultHistorySeries
-	if raw := q.Get("series"); raw != "" {
-		names = strings.Split(raw, ",")
+	if req.Series != "" {
+		names = strings.Split(req.Series, ",")
 		for _, n := range names {
 			if strings.TrimSpace(n) == "" {
-				writeError(w, http.StatusBadRequest, "invalid series=%q: empty name in list", raw)
+				writeError(w, http.StatusBadRequest, "invalid series=%q: empty name in list", req.Series)
 				return
 			}
 		}
 	}
 	ts := s.sampler.ts
 	since := time.Now().Add(-time.Duration(ts.Capacity()) * ts.Interval())
-	if raw := q.Get("since_sec"); raw != "" {
-		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil || v <= 0 {
-			writeError(w, http.StatusBadRequest, "invalid since_sec=%q", raw)
+	if req.SinceSec != nil {
+		if *req.SinceSec <= 0 {
+			writeError(w, http.StatusBadRequest, "since_sec must be > 0, got %g", *req.SinceSec)
 			return
 		}
-		since = time.Now().Add(-time.Duration(v * float64(time.Second)))
+		since = time.Now().Add(-time.Duration(*req.SinceSec * float64(time.Second)))
 	}
-	var step time.Duration
-	if raw := q.Get("step_sec"); raw != "" {
-		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, "invalid step_sec=%q", raw)
-			return
-		}
-		step = time.Duration(v * float64(time.Second))
+	if req.StepSec < 0 {
+		writeError(w, http.StatusBadRequest, "step_sec must be >= 0, got %g", req.StepSec)
+		return
 	}
+	step := time.Duration(req.StepSec * float64(time.Second))
 	res := ts.Range(names, since, step)
 	resp := historyResponse{
 		IntervalMs:  float64(ts.Interval()) / float64(time.Millisecond),

@@ -8,9 +8,7 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -33,9 +31,11 @@ type mutateOp struct {
 	Label string `json:"label,omitempty"`
 }
 
-// mutateRequest is the JSON envelope of a mutation batch.
-type mutateRequest struct {
+// mutateBody is the JSON body of a mutation batch: an envelope with a
+// mutations array, or one bare mutation object.
+type mutateBody struct {
 	Mutations []mutateOp `json:"mutations"`
+	mutateOp
 }
 
 // mutateResponse acknowledges an applied batch.
@@ -88,58 +88,35 @@ func (m mutateOp) toMutation(i int) (kspr.Mutation, error) {
 // mutation object, or (Content-Type application/x-ndjson) one mutation
 // per line. The batch always applies atomically regardless of form.
 func (s *Server) decodeMutateRequest(w http.ResponseWriter, r *http.Request) ([]mutateOp, bool) {
+	var ops []mutateOp
+	var err error
 	if strings.Contains(r.Header.Get("Content-Type"), "ndjson") {
-		sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, 16<<20))
-		sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-		var ops []mutateOp
-		for sc.Scan() {
-			line := bytes.TrimSpace(sc.Bytes())
-			if len(line) == 0 {
-				continue
-			}
-			dec := json.NewDecoder(bytes.NewReader(line))
-			dec.DisallowUnknownFields()
+		err = eachLine(w, r, func(line []byte) error {
 			var op mutateOp
-			if err := dec.Decode(&op); err != nil {
-				writeError(w, http.StatusBadRequest, "invalid mutation line %d: %v", len(ops), err)
-				return nil, false
+			if err := decodeJSON(bytes.NewReader(line), &op); err != nil {
+				return fmt.Errorf("invalid mutation line %d: %w", len(ops), err)
 			}
 			ops = append(ops, op)
+			return nil
+		})
+	} else {
+		var body mutateBody
+		err = decodeJSON(http.MaxBytesReader(w, r.Body, maxBodyBytes), &body)
+		op := body.mutateOp
+		switch {
+		case err == nil && len(body.Mutations) > 0 && op.Op == "" && op.ID == nil && op.Values == nil && op.Label == "":
+			ops = body.Mutations
+		case err == nil && body.Mutations == nil && op.Op != "":
+			ops = []mutateOp{op}
+		default:
+			err = errors.New(`invalid mutation body: want {"mutations":[...]}, a single {"op":...}, or an ndjson stream`)
 		}
-		if err := sc.Err(); err != nil {
-			writeError(w, http.StatusBadRequest, "reading ndjson body: %v", err)
-			return nil, false
-		}
-		return ops, true
 	}
-	raw, err := readBody(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading request body: %v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return nil, false
 	}
-	// Envelope form first, then the single bare-mutation form.
-	var req mutateRequest
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err == nil && len(req.Mutations) > 0 {
-		return req.Mutations, true
-	}
-	var op mutateOp
-	dec = json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&op); err == nil && op.Op != "" {
-		return []mutateOp{op}, true
-	}
-	writeError(w, http.StatusBadRequest,
-		`invalid mutation body: want {"mutations":[...]}, a single {"op":...}, or an ndjson stream`)
-	return nil, false
-}
-
-// readBody drains the (size-capped) request body.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	var buf bytes.Buffer
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, 16<<20))
-	return buf.Bytes(), err
+	return ops, true
 }
 
 // handleDatasetMutate serves POST /v1/datasets/{name}:mutate.
@@ -150,8 +127,7 @@ func (s *Server) handleDatasetMutate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown dataset action %q (want <name>:mutate)", action)
 		return
 	}
-	if _, ok := s.registry.Get(name); !ok {
-		writeError(w, http.StatusNotFound, "dataset %q not found", name)
+	if _, ok := s.snapshot(w, r, name); !ok {
 		return
 	}
 	ops, ok := s.decodeMutateRequest(w, r)
@@ -228,12 +204,10 @@ func (s *Server) handleDatasetMutate(w http.ResponseWriter, r *http.Request) {
 // i.e. simply left to age out under their old-generation keys, which no
 // request will ever build again. Returns (migrated, dropped).
 func (s *Server) migrateCache(old, cur *Snapshot, deltas []kspr.Delta) (int, int) {
-	prefix := fmt.Sprintf("%s@%d|kspr|", old.Name, old.Generation)
-	type hit struct{ cq *cachedQuery }
-	var hits []hit
-	s.cache.EachPrefix(prefix, func(key string, val any) {
-		if cq, ok := val.(*cachedQuery); ok {
-			hits = append(hits, hit{cq})
+	var hits []*entry[queryResponse]
+	s.cache.EachPrefix(fmt.Sprintf("%s@%d|kspr|", old.Name, old.Generation), func(_ string, val any) {
+		if e, ok := val.(*entry[queryResponse]); ok {
+			hits = append(hits, e)
 		}
 	})
 	if len(hits) == 0 {
@@ -241,23 +215,16 @@ func (s *Server) migrateCache(old, cur *Snapshot, deltas []kspr.Delta) (int, int
 	}
 	mi := kspr.NewMutationImpact(old.DB, cur.DB, deltas)
 	migrated, dropped := 0, 0
-	for _, h := range hits {
-		cq := h.cq
-		res, ok := cq.raw.(*kspr.Result)
+	for _, e := range hits {
+		src := e.src.(*ksprSource)
+		res, ok := src.raw.(*kspr.Result)
 		if !ok {
 			dropped++ // approximate results carry no exact region set
 			continue
 		}
-		algo, approx, err := parseAlgorithm(cq.req.Algorithm)
-		if err != nil || approx {
-			dropped++
-			continue
-		}
-		oldDense, newDense := -1, -1
-		req2 := cq.req
-		if cq.req.FocalVector == nil {
-			oldDense = cq.req.Focal
-			stable, ok := old.DB.StableID(oldDense)
+		q := src.q
+		if q.focalVector == nil {
+			stable, ok := old.DB.StableID(q.focal)
 			if !ok {
 				dropped++
 				continue
@@ -267,39 +234,19 @@ func (s *Server) migrateCache(old, cur *Snapshot, deltas []kspr.Delta) (int, int
 				dropped++ // the focal option was deleted
 				continue
 			}
-			if !float64sEqual(old.DB.Record(oldDense), cur.DB.Record(nd)) {
+			if !float64sEqual(old.DB.Record(q.focal), cur.DB.Record(nd)) {
 				dropped++ // the focal option was repriced
 				continue
 			}
-			newDense = nd
-			req2.Focal = nd
+			q.focal = nd
 		}
-		if !mi.Unaffected(res.Focal, oldDense, newDense, cq.req.K, algo) {
+		if !mi.Unaffected(res.Focal, src.q.focal, q.focal, q.k, q.algo) {
 			dropped++
 			continue
 		}
-		space, err := parseSpace(req2.Space)
-		if err != nil {
-			dropped++
-			continue
-		}
-		bounds, err := parseBounds(req2.Bounds)
-		if err != nil {
-			dropped++
-			continue
-		}
-		eps := req2.Epsilon
-		if eps <= 0 {
-			eps = 0.01
-		}
-		resp2 := *cq.resp
-		resp2.Generation = cur.Generation
-		resp2.Focal = cq.resp.Focal
-		if cq.req.FocalVector == nil {
-			resp2.Focal = newDense
-		}
-		key2 := cacheKey(cur, req2, algo, false, space, bounds, eps)
-		s.cache.Put(key2, &cachedQuery{req: req2, resp: &resp2, raw: cq.raw})
+		resp := *e.resp
+		resp.Generation, resp.Focal = cur.Generation, q.focal
+		s.cache.Put(q.key(cur), &entry[queryResponse]{resp: &resp, stats: e.stats, src: &ksprSource{q: q, raw: res}})
 		migrated++
 	}
 	return migrated, dropped

@@ -139,23 +139,17 @@ func (s *Server) logRequest(endpoint string, r *http.Request, ri *reqInfo, statu
 	if s.logger == nil {
 		return
 	}
-	s.logger.Debug("request",
+	args := []any{
 		slog.String("request_id", ri.ID()),
 		slog.String("endpoint", endpoint),
 		slog.String("method", r.Method),
 		slog.String("path", r.URL.Path),
 		slog.Int("status", status),
 		slog.Float64("elapsed_ms", float64(elapsed)/1e6),
-	)
+	}
+	s.logger.Debug("request", args...)
 	if s.cfg.SlowQuery > 0 && elapsed >= s.cfg.SlowQuery {
-		args := []any{
-			slog.String("request_id", ri.ID()),
-			slog.String("endpoint", endpoint),
-			slog.String("path", r.URL.Path),
-			slog.Int("status", status),
-			slog.Float64("elapsed_ms", float64(elapsed)/1e6),
-			slog.Float64("threshold_ms", float64(s.cfg.SlowQuery)/1e6),
-		}
+		args = append(args, slog.Float64("threshold_ms", float64(s.cfg.SlowQuery)/1e6))
 		if tr := ri.Trace(); tr != nil {
 			args = append(args, slog.Group("phases", tracePhaseAttrs(tr)...))
 		}

@@ -68,6 +68,22 @@ type DatasetInfo struct {
 	IndexWarm bool `json:"index_warm"`
 }
 
+// info is the listing entry of one dataset incarnation.
+func (s *Snapshot) info() DatasetInfo {
+	return DatasetInfo{
+		Name:            s.Name,
+		Generation:      s.Generation,
+		StoreGeneration: s.StoreGeneration,
+		Durable:         s.Durable,
+		Records:         s.DB.Len(),
+		Dims:            s.DB.Dim(),
+		Attributes:      s.Dataset.Attributes,
+		Source:          s.Source,
+		LoadedAt:        s.LoadedAt,
+		IndexWarm:       s.IndexWarm,
+	}
+}
+
 // liveEntry is the mutable state behind one registered dataset: the live
 // (mutable) DB handle plus the metadata that rides along generations.
 type liveEntry struct {
@@ -553,18 +569,7 @@ func (r *Registry) List() []DatasetInfo {
 	r.mu.RLock()
 	infos := make([]DatasetInfo, 0, len(r.sets))
 	for _, s := range r.sets {
-		infos = append(infos, DatasetInfo{
-			Name:            s.Name,
-			Generation:      s.Generation,
-			StoreGeneration: s.StoreGeneration,
-			Durable:         s.Durable,
-			Records:         s.DB.Len(),
-			Dims:            s.DB.Dim(),
-			Attributes:      s.Dataset.Attributes,
-			Source:          s.Source,
-			LoadedAt:        s.LoadedAt,
-			IndexWarm:       s.IndexWarm,
-		})
+		infos = append(infos, s.info())
 	}
 	r.mu.RUnlock()
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })

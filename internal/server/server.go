@@ -208,17 +208,22 @@ func NewServer(cfg Config) *Server {
 	// handler rejects anything else, keeping the plain POST /v1/datasets
 	// collection route unambiguous.
 	mux.HandleFunc("POST /v1/datasets/{action}", s.instrument("datasets.mutate", s.handleDatasetMutate))
-	mux.HandleFunc("POST /v1/kspr", s.instrument("kspr", s.handleKSPR))
-	mux.HandleFunc("GET /v1/kspr", s.instrument("kspr", s.handleKSPRGet))
+	// The query endpoints all run through the request pipeline
+	// (pipeline.go); each route names only its request type, its
+	// response type, and the wire form its request arrives in.
+	mux.HandleFunc("POST /v1/kspr", s.instrument("kspr", route[queryRequest, *queryRequest, queryResponse](s, decodeBody)))
+	mux.HandleFunc("GET /v1/kspr", s.instrument("kspr", route[queryRequest, *queryRequest, queryResponse](s, decodeQuery)))
 	mux.HandleFunc("POST /v1/kspr:batch", s.instrument("kspr.batch", s.handleBatch))
-	mux.HandleFunc("POST /v1/topk", s.instrument("topk", s.handleTopK))
-	mux.HandleFunc("GET /v1/skyline", s.instrument("skyline", s.handleSkyline))
-	mux.HandleFunc("POST /v1/impact", s.instrument("impact", s.handleImpact))
+	mux.HandleFunc("POST /v1/topk", s.instrument("topk", route[topkRequest, *topkRequest, topkResponse](s, decodeBody)))
+	mux.HandleFunc("GET /v1/skyline", s.instrument("skyline", route[skylineRequest, *skylineRequest, skylineResponse](s, decodeQuery)))
+	mux.HandleFunc("POST /v1/impact", s.instrument("impact", route[impactRequest, *impactRequest, impactResponse](s, decodeBody)))
 	// The what-if layer: competitor attribution, repricing search, and
 	// impact–price frontiers (Google-style custom verbs, like :mutate).
-	mux.HandleFunc("GET /v1/impact:competitors", s.instrument("impact.competitors", s.handleCompetitors))
-	mux.HandleFunc("POST /v1/whatif:price", s.instrument("whatif.price", s.handlePrice))
-	mux.HandleFunc("POST /v1/whatif:frontier", s.instrument("whatif.frontier", s.handleFrontier))
+	mux.HandleFunc("GET /v1/impact:competitors", s.instrument("impact.competitors",
+		route[competitorsRequest, *competitorsRequest, competitorsResponse](s, decodeQuery)))
+	mux.HandleFunc("POST /v1/whatif:price", s.instrument("whatif.price", route[priceRequest, *priceRequest, priceResponse](s, decodeBody)))
+	mux.HandleFunc("POST /v1/whatif:frontier", s.instrument("whatif.frontier",
+		route[frontierRequest, *frontierRequest, frontierResponse](s, decodeBody)))
 	// Post-hoc forensics: the flight recorder's wide events and the
 	// lifecycle event journal (same custom-verb style as :mutate).
 	mux.HandleFunc("GET /v1/debug:flight", s.instrument("debug.flight", s.handleDebugFlight))
@@ -314,6 +319,21 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 		r = r.WithContext(context.WithValue(r.Context(), reqInfoKey{}, ri))
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
+		// event is the request's wide event for the flight recorder, read
+		// from the annotations the handler left on ri.
+		event := func(status int, elapsed time.Duration, kind, errText string) obs.WideEvent {
+			ev := obs.WideEvent{
+				Time: start, RequestID: id, Endpoint: name,
+				Method: r.Method, Path: r.URL.Path,
+				Dataset: ri.dataset, Generation: ri.generation,
+				Status: status, LatencyNs: int64(elapsed), Kind: kind,
+				Cached: ri.cached, Error: errText, Stats: ri.stats,
+			}
+			if ri.trace != nil {
+				ev.Phases = ri.trace.Phases()
+			}
+			return ev
+		}
 		if s.cfg.BlackBoxDir != "" {
 			defer func() {
 				p := recover()
@@ -322,14 +342,8 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 				}
 				// Capture the panicking request itself, then dump the black
 				// box; the re-panic preserves net/http's panic semantics.
-				s.flight.Record(obs.WideEvent{
-					Time: start, RequestID: id, Endpoint: name,
-					Method: r.Method, Path: r.URL.Path,
-					Dataset: ri.dataset, Generation: ri.generation,
-					Status:    http.StatusInternalServerError,
-					LatencyNs: int64(time.Since(start)), Kind: obs.CaptureError,
-					Error: fmt.Sprintf("panic: %v", p),
-				})
+				s.flight.Record(event(http.StatusInternalServerError, time.Since(start), obs.CaptureError,
+					fmt.Sprintf("panic: %v", p)))
 				if _, err := s.WriteBlackBox(fmt.Sprintf("panic in %s: %v", name, p)); err != nil && s.logger != nil {
 					s.logger.Error("black box write failed", slog.String("error", err.Error()))
 				}
@@ -341,17 +355,7 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 		s.metrics.Observe(name, elapsed, rec.status)
 		s.logRequest(name, r, ri, rec.status, elapsed)
 		if kind, ok := s.flight.ShouldCapture(name, rec.status, elapsed); ok {
-			ev := obs.WideEvent{
-				Time: start, RequestID: id, Endpoint: name,
-				Method: r.Method, Path: r.URL.Path,
-				Dataset: ri.dataset, Generation: ri.generation,
-				Status: rec.status, LatencyNs: int64(elapsed), Kind: kind,
-				Cached: ri.cached, Error: string(rec.errBody), Stats: ri.stats,
-			}
-			if ri.trace != nil {
-				ev.Phases = ri.trace.Phases()
-			}
-			s.flight.Record(ev)
+			s.flight.Record(event(rec.status, elapsed, kind, string(rec.errBody)))
 		}
 	}
 }

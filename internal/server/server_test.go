@@ -207,7 +207,7 @@ func TestBatchStreamsAllQueries(t *testing.T) {
 	for i := range queries {
 		queries[i] = batchQuery{Focal: i * 7, K: 3 + i%4}
 	}
-	raw, _ := json.Marshal(batchRequest{Dataset: "ind", Queries: queries})
+	raw, _ := json.Marshal(batchRequest{queryRequest: queryRequest{Dataset: "ind"}, Queries: queries})
 	resp, err := http.Post(ts.URL+"/v1/kspr:batch", "application/json", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +253,7 @@ func TestBatchRejectsOversize(t *testing.T) {
 	for i := range queries {
 		queries[i] = batchQuery{Focal: i, K: 2}
 	}
-	resp, _ := postJSON(t, ts.URL+"/v1/kspr:batch", batchRequest{Dataset: "ind", Queries: queries})
+	resp, _ := postJSON(t, ts.URL+"/v1/kspr:batch", batchRequest{queryRequest: queryRequest{Dataset: "ind"}, Queries: queries})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", resp.StatusCode)
 	}

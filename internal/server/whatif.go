@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"strconv"
 	"time"
 
 	kspr "repro"
@@ -59,9 +58,18 @@ type competitorsResponse struct {
 	Impact      float64          `json:"impact"`
 	Miss        float64          `json:"miss"`
 	Competitors []competitorWire `json:"competitors"`
-	Cached      bool             `json:"cached"`
-	// Trace carries the engine phase breakdown under ?debug=trace.
-	Trace *traceWire `json:"trace,omitempty"`
+	served
+}
+
+// competitorsRequest is the query string of GET /v1/impact:competitors.
+type competitorsRequest struct {
+	Dataset   string `json:"dataset"`
+	Focal     *int   `json:"focal"` // required
+	K         int    `json:"k"`
+	Samples   int    `json:"samples"`
+	Seed      int64  `json:"seed"`
+	Algorithm string `json:"algorithm"`
+	NoCache   bool   `json:"no_cache"`
 }
 
 type priceRequest struct {
@@ -97,9 +105,7 @@ type priceResponse struct {
 	LowerDelta  float64         `json:"lower_delta"`
 	LowerImpact float64         `json:"lower_impact"`
 	Stats       whatifStatsWire `json:"stats"`
-	Cached      bool            `json:"cached"`
-	// Trace carries the engine phase breakdown under ?debug=trace.
-	Trace *traceWire `json:"trace,omitempty"`
+	served
 }
 
 type frontierRequest struct {
@@ -135,363 +141,204 @@ type frontierResponse struct {
 	K          int                 `json:"k"`
 	Points     []frontierPointWire `json:"points"`
 	Stats      whatifStatsWire     `json:"stats"`
-	Cached     bool                `json:"cached"`
-	// Trace carries the engine phase breakdown under ?debug=trace.
-	Trace *traceWire `json:"trace,omitempty"`
+	served
 }
 
 // ---- helpers -------------------------------------------------------------
 
-// parseExactAlgorithm resolves an algorithm name for endpoints that need
-// exact region sets (everything what-if).
-func parseExactAlgorithm(s string) (kspr.Algorithm, error) {
-	algo, approx, err := parseAlgorithm(s)
-	if err != nil {
-		return 0, err
-	}
-	if approx {
-		return 0, fmt.Errorf("what-if queries need an exact algorithm (cta, p-cta, lp-cta, k-skyband)")
-	}
-	return algo, nil
-}
-
-// clampSamples applies the per-request Monte-Carlo bound with the
+// parseWhatIf validates what every what-if request shares: k, an exact
+// algorithm (the what-if layer needs exact region sets), and the sample
+// count, to which it applies the per-request Monte-Carlo bound with the
 // library's what-if default, so cache keys and responses stay consistent
 // with what the library would do on its own.
-func clampSamples(n int) int {
-	if n <= 0 {
-		n = kspr.DefaultWhatIfSamples
+func parseWhatIf(k int, algorithm string, samples int) (kspr.Algorithm, int, error) {
+	if k < 1 {
+		return 0, 0, fmt.Errorf("k must be >= 1, got %d", k)
 	}
-	if n > maxImpactSamples {
-		n = maxImpactSamples
+	algo, approx, err := parseAlgorithm(algorithm)
+	if err != nil {
+		return 0, 0, err
 	}
-	return n
+	if approx {
+		return 0, 0, fmt.Errorf("what-if queries need an exact algorithm (cta, p-cta, lp-cta, k-skyband)")
+	}
+	if samples <= 0 {
+		samples = kspr.DefaultWhatIfSamples
+	}
+	return algo, min(samples, maxImpactSamples), nil
 }
 
-// serveCached returns true after writing the cached response for key, with
-// its Cached flag set via mark.
-func (s *Server) serveCached(w http.ResponseWriter, key string, noCache bool, mark func(any) any) bool {
-	if noCache {
-		return false
-	}
-	v, ok := s.cache.Get(key)
-	if !ok {
-		return false
-	}
-	writeJSON(w, http.StatusOK, mark(v))
-	return true
+// whatifOptions is the engine option list every what-if probe runs with:
+// exact, serial, geometry-free, and traced.
+func whatifOptions(ctx context.Context, algo kspr.Algorithm) []kspr.QueryOption {
+	return []kspr.QueryOption{kspr.WithAlgorithm(algo), kspr.WithContext(ctx), kspr.WithParallelism(1),
+		kspr.WithoutGeometry(), kspr.WithTrace(reqInfoFrom(ctx).Trace())}
 }
 
-// ---- handlers ------------------------------------------------------------
+// ---- endpoints -----------------------------------------------------------
 
-// handleCompetitors serves GET /v1/impact:competitors: per-competitor
-// attribution of the focal option's missing preference space.
-func (s *Server) handleCompetitors(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	snap, ok := s.registry.Get(q.Get("dataset"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "dataset %q not found", q.Get("dataset"))
-		return
+// GET /v1/impact:competitors: per-competitor attribution of the focal
+// option's missing preference space.
+func (req *competitorsRequest) scope() (string, int) { return req.Dataset, 0 }
+
+func (req *competitorsRequest) plan(_ context.Context, s *Server, snap *Snapshot) (job[competitorsResponse], error) {
+	if req.Focal == nil {
+		return job[competitorsResponse]{}, errors.New("focal is required")
 	}
-	reqInfoFrom(r.Context()).noteDataset(snap)
-	focal, err := strconv.Atoi(q.Get("focal"))
+	focal := *req.Focal
+	algo, samples, err := parseWhatIf(req.K, req.Algorithm, req.Samples)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid focal %q", q.Get("focal"))
-		return
+		return job[competitorsResponse]{}, err
 	}
-	k, err := strconv.Atoi(q.Get("k"))
-	if err != nil || k < 1 {
-		writeError(w, http.StatusBadRequest, "invalid k %q", q.Get("k"))
-		return
-	}
-	samples := 0
-	if v := q.Get("samples"); v != "" {
-		if samples, err = strconv.Atoi(v); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid samples %q", v)
-			return
-		}
-	}
-	samples = clampSamples(samples)
-	var seed int64
-	if v := q.Get("seed"); v != "" {
-		if seed, err = strconv.ParseInt(v, 10, 64); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid seed %q", v)
-			return
-		}
-	}
-	algo, err := parseExactAlgorithm(q.Get("algorithm"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	noCache := false
-	if v := q.Get("no_cache"); v != "" {
-		if noCache, err = strconv.ParseBool(v); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid no_cache=%q: %v", v, err)
-			return
-		}
-	}
-	// EXPLAIN mode must actually run (and must not share its traced
-	// response through the cache); see runKSPR.
-	info := reqInfoFrom(r.Context())
-	noCache = noCache || info.Debug()
-
-	key := fmt.Sprintf("%s@%d|whatif.comp|f=%d|k=%d|a=%s|n=%d|seed=%d",
-		snap.Name, snap.Generation, focal, k, algo.String(), samples, seed)
-	if s.serveCached(w, key, noCache, func(v any) any {
-		resp := *(v.(*competitorsResponse))
-		resp.Cached = true
-		return &resp
-	}) {
-		return
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(0))
-	defer cancel()
-	val, err := s.pool.Submit(ctx, func(ctx context.Context) (any, error) {
-		return snap.DB.Competitors(focal, k, samples, seed,
-			kspr.WithAlgorithm(algo), kspr.WithContext(ctx), kspr.WithParallelism(1),
-			kspr.WithoutGeometry(), kspr.WithTrace(info.Trace()))
-	})
-	if err != nil {
-		writeError(w, errStatusCode(err), "%v", err)
-		return
-	}
-	attr := val.(*kspr.Attribution)
-	resp := &competitorsResponse{
-		Dataset:    snap.Name,
-		Generation: snap.Generation,
-		Focal:      attr.Focal,
-		K:          attr.K,
-		Samples:    attr.Samples,
-		Impact:     attr.Impact,
-		Miss:       attr.Miss,
-	}
-	resp.Competitors = make([]competitorWire, len(attr.Competitors))
-	for i, c := range attr.Competitors {
-		cw := competitorWire{
-			ID:            c.ID,
-			StableID:      c.StableID,
-			MissShare:     c.MissShare,
-			PressureShare: c.PressureShare,
-		}
-		if c.ID < len(snap.Dataset.Labels) {
-			cw.Label = snap.Dataset.Labels[c.ID]
-		}
-		resp.Competitors[i] = cw
-	}
-	if !noCache {
-		s.cache.Put(key, resp)
-	}
-	s.metrics.AddWhatIf(1, 0)
-	if info.Debug() {
-		resp.Trace = traceToWire(info)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handlePrice serves POST /v1/whatif:price: the minimal reprice of one
-// attribute reaching a target impact.
-func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
-	var req priceRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	snap, ok := s.registry.Get(req.Dataset)
-	if !ok {
-		writeError(w, http.StatusNotFound, "dataset %q not found", req.Dataset)
-		return
-	}
-	reqInfoFrom(r.Context()).noteDataset(snap)
-	if req.K < 1 {
-		writeError(w, http.StatusBadRequest, "k must be >= 1, got %d", req.K)
-		return
-	}
-	algo, err := parseExactAlgorithm(req.Algorithm)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	req.Samples = clampSamples(req.Samples)
-	// EXPLAIN mode bypasses the cache; see runKSPR.
-	info := reqInfoFrom(r.Context())
-	req.NoCache = req.NoCache || info.Debug()
-
-	key := fmt.Sprintf("%s@%d|whatif.price|f=%d|k=%d|a=%s|attr=%d|t=%x|md=%x|e=%x|n=%d|seed=%d|vm=%t",
-		snap.Name, snap.Generation, req.Focal, req.K, algo.String(), req.Attr,
-		math.Float64bits(req.Target), math.Float64bits(req.MaxDelta), math.Float64bits(req.Eps),
-		req.Samples, req.Seed, req.VolumeMetric)
-	if !req.NoCache {
-		if v, ok := s.cache.Get(key); ok {
-			e := v.(*priceCacheEntry)
-			if e.unreachable != "" {
-				// The 422 is as deterministic as the success answer (same
-				// generation, same sample set); serving it from cache stops
-				// a repeated unreachable target from re-burning the full
-				// bisection on a pool worker each time.
-				writeError(w, http.StatusUnprocessableEntity, "%s", e.unreachable)
-				return
+	return job[competitorsResponse]{
+		key: fmt.Sprintf("%s@%d|whatif.comp|f=%d|k=%d|a=%s|n=%d|seed=%d",
+			snap.Name, snap.Generation, focal, req.K, algo, samples, req.Seed),
+		noCache: req.NoCache,
+		compute: func(ctx context.Context) (*entry[competitorsResponse], error) {
+			attr, err := snap.DB.Competitors(focal, req.K, samples, req.Seed, whatifOptions(ctx, algo)...)
+			if err != nil {
+				return nil, err
 			}
-			resp := *e.resp
-			resp.Cached = true
-			writeJSON(w, http.StatusOK, &resp)
-			return
-		}
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMs))
-	defer cancel()
-	val, err := s.pool.Submit(ctx, func(ctx context.Context) (any, error) {
-		return snap.DB.PriceToTarget(req.Focal, req.K, kspr.RepriceSpec{
-			Attr:         req.Attr,
-			Target:       req.Target,
-			MaxDelta:     req.MaxDelta,
-			Eps:          req.Eps,
-			Samples:      req.Samples,
-			Seed:         req.Seed,
-			VolumeMetric: req.VolumeMetric,
-		}, kspr.WithAlgorithm(algo), kspr.WithContext(ctx), kspr.WithParallelism(1),
-			kspr.WithoutGeometry(), kspr.WithTrace(info.Trace()))
-	})
-	if err != nil {
-		// An unreachable target is a well-formed request whose answer is
-		// "no such price": 422, not 400 — and deterministic, so cache it.
-		if errors.Is(err, kspr.ErrTargetUnreachable) {
-			if !req.NoCache {
-				s.cache.Put(key, &priceCacheEntry{unreachable: err.Error()})
+			s.metrics.AddWhatIf(1, 0)
+			resp := &competitorsResponse{
+				Dataset:     snap.Name,
+				Generation:  snap.Generation,
+				Focal:       attr.Focal,
+				K:           attr.K,
+				Samples:     attr.Samples,
+				Impact:      attr.Impact,
+				Miss:        attr.Miss,
+				Competitors: make([]competitorWire, len(attr.Competitors)),
 			}
-			if rp, ok := val.(*kspr.Reprice); ok && rp != nil {
+			for i, c := range attr.Competitors {
+				cw := competitorWire{
+					ID:            c.ID,
+					StableID:      c.StableID,
+					MissShare:     c.MissShare,
+					PressureShare: c.PressureShare,
+				}
+				if c.ID < len(snap.Dataset.Labels) {
+					cw.Label = snap.Dataset.Labels[c.ID]
+				}
+				resp.Competitors[i] = cw
+			}
+			return &entry[competitorsResponse]{resp: resp}, nil
+		},
+	}, nil
+}
+
+// POST /v1/whatif:price: the minimal reprice of one attribute reaching a
+// target impact.
+func (req *priceRequest) scope() (string, int) { return req.Dataset, req.TimeoutMs }
+
+func (req *priceRequest) plan(_ context.Context, s *Server, snap *Snapshot) (job[priceResponse], error) {
+	algo, samples, err := parseWhatIf(req.K, req.Algorithm, req.Samples)
+	if err != nil {
+		return job[priceResponse]{}, err
+	}
+	spec := kspr.RepriceSpec{
+		Attr:         req.Attr,
+		Target:       req.Target,
+		MaxDelta:     req.MaxDelta,
+		Eps:          req.Eps,
+		Samples:      samples,
+		Seed:         req.Seed,
+		VolumeMetric: req.VolumeMetric,
+	}
+	return job[priceResponse]{
+		key: fmt.Sprintf("%s@%d|whatif.price|f=%d|k=%d|a=%s|attr=%d|t=%x|md=%x|e=%x|n=%d|seed=%d|vm=%t",
+			snap.Name, snap.Generation, req.Focal, req.K, algo, req.Attr,
+			math.Float64bits(req.Target), math.Float64bits(req.MaxDelta), math.Float64bits(req.Eps),
+			samples, req.Seed, req.VolumeMetric),
+		noCache: req.NoCache,
+		compute: func(ctx context.Context) (*entry[priceResponse], error) {
+			rp, err := snap.DB.PriceToTarget(req.Focal, req.K, spec, whatifOptions(ctx, algo)...)
+			// An unreachable target is a well-formed request whose answer is
+			// "no such price": 422, not 400. It is as deterministic as a
+			// success (same generation, same sample set), so it is cached
+			// too, and a repeated unreachable target does not re-burn the
+			// full bisection on a pool worker.
+			unreachable := errors.Is(err, kspr.ErrTargetUnreachable)
+			if err != nil && !unreachable {
+				return nil, err
+			}
+			if rp != nil {
 				s.metrics.AddWhatIf(uint64(rp.Stats.Probes), uint64(rp.Stats.Kept))
 			}
-			writeError(w, http.StatusUnprocessableEntity, "%v", err)
-			return
-		}
-		writeError(w, errStatusCode(err), "%v", err)
-		return
-	}
-	rp := val.(*kspr.Reprice)
-	resp := &priceResponse{
-		Dataset:     snap.Name,
-		Generation:  snap.Generation,
-		Focal:       rp.Focal,
-		Attr:        rp.Attr,
-		K:           rp.K,
-		Target:      rp.Target,
-		Delta:       rp.Delta,
-		Value:       rp.Value,
-		Impact:      rp.Impact,
-		Baseline:    rp.Baseline,
-		AlreadyMet:  rp.AlreadyMet,
-		LowerDelta:  rp.LowerDelta,
-		LowerImpact: rp.LowerImpact,
-		Stats:       toStatsWire(rp.Stats),
-	}
-	if !req.NoCache {
-		s.cache.Put(key, &priceCacheEntry{resp: resp})
-	}
-	s.metrics.AddWhatIf(uint64(rp.Stats.Probes), uint64(rp.Stats.Kept))
-	if info.Debug() {
-		resp.Trace = traceToWire(info)
-	}
-	writeJSON(w, http.StatusOK, resp)
+			if unreachable {
+				return &entry[priceResponse]{status: http.StatusUnprocessableEntity, msg: err.Error()}, nil
+			}
+			resp := &priceResponse{
+				Dataset:     snap.Name,
+				Generation:  snap.Generation,
+				Focal:       rp.Focal,
+				Attr:        rp.Attr,
+				K:           rp.K,
+				Target:      rp.Target,
+				Delta:       rp.Delta,
+				Value:       rp.Value,
+				Impact:      rp.Impact,
+				Baseline:    rp.Baseline,
+				AlreadyMet:  rp.AlreadyMet,
+				LowerDelta:  rp.LowerDelta,
+				LowerImpact: rp.LowerImpact,
+				Stats:       toStatsWire(rp.Stats),
+			}
+			return &entry[priceResponse]{resp: resp, stats: resp.Stats}, nil
+		},
+	}, nil
 }
 
-// priceCacheEntry is what the cache stores for /v1/whatif:price: the
-// success response, or the deterministic unreachable-target 422 message.
-type priceCacheEntry struct {
-	resp        *priceResponse
-	unreachable string
-}
+// POST /v1/whatif:frontier: the impact-vs-price curve over an attribute
+// grid.
+func (req *frontierRequest) scope() (string, int) { return req.Dataset, req.TimeoutMs }
 
-// handleFrontier serves POST /v1/whatif:frontier: the impact-vs-price
-// curve over an attribute grid.
-func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
-	var req frontierRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	snap, ok := s.registry.Get(req.Dataset)
-	if !ok {
-		writeError(w, http.StatusNotFound, "dataset %q not found", req.Dataset)
-		return
-	}
-	reqInfoFrom(r.Context()).noteDataset(snap)
-	if req.K < 1 {
-		writeError(w, http.StatusBadRequest, "k must be >= 1, got %d", req.K)
-		return
-	}
-	if req.Steps == 0 {
-		req.Steps = 16 // resolve the library default BEFORE the cap check
-	}
-	if req.Steps > s.cfg.MaxBatch {
-		writeError(w, http.StatusBadRequest, "frontier of %d steps exceeds limit %d", req.Steps, s.cfg.MaxBatch)
-		return
-	}
-	algo, err := parseExactAlgorithm(req.Algorithm)
+func (req *frontierRequest) plan(_ context.Context, s *Server, snap *Snapshot) (job[frontierResponse], error) {
+	algo, samples, err := parseWhatIf(req.K, req.Algorithm, req.Samples)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return job[frontierResponse]{}, err
 	}
-	req.Samples = clampSamples(req.Samples)
-	// EXPLAIN mode bypasses the cache; see runKSPR.
-	info := reqInfoFrom(r.Context())
-	req.NoCache = req.NoCache || info.Debug()
-
-	key := fmt.Sprintf("%s@%d|whatif.frontier|f=%d|k=%d|a=%s|attr=%d|min=%x|max=%x|st=%d|n=%d|seed=%d|vm=%t",
-		snap.Name, snap.Generation, req.Focal, req.K, algo.String(), req.Attr,
-		math.Float64bits(req.Min), math.Float64bits(req.Max), req.Steps,
-		req.Samples, req.Seed, req.VolumeMetric)
-	if s.serveCached(w, key, req.NoCache, func(v any) any {
-		resp := *(v.(*frontierResponse))
-		resp.Cached = true
-		return &resp
-	}) {
-		return
+	steps := req.Steps
+	if steps == 0 {
+		steps = 16 // resolve the library default BEFORE the cap check
 	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMs))
-	defer cancel()
-	val, err := s.pool.Submit(ctx, func(ctx context.Context) (any, error) {
-		return snap.DB.Frontier(req.Focal, req.K, kspr.FrontierSpec{
-			Attr:         req.Attr,
-			Min:          req.Min,
-			Max:          req.Max,
-			Steps:        req.Steps,
-			Samples:      req.Samples,
-			Seed:         req.Seed,
-			VolumeMetric: req.VolumeMetric,
-		}, kspr.WithAlgorithm(algo), kspr.WithContext(ctx), kspr.WithParallelism(1),
-			kspr.WithoutGeometry(), kspr.WithTrace(info.Trace()))
-	})
-	if err != nil {
-		writeError(w, errStatusCode(err), "%v", err)
-		return
+	if steps > s.cfg.MaxBatch {
+		return job[frontierResponse]{}, fmt.Errorf("frontier of %d steps exceeds limit %d", steps, s.cfg.MaxBatch)
 	}
-	curve := val.(*kspr.FrontierCurve)
-	resp := &frontierResponse{
-		Dataset:    snap.Name,
-		Generation: snap.Generation,
-		Focal:      curve.Focal,
-		Attr:       curve.Attr,
-		K:          curve.K,
-		Stats:      toStatsWire(curve.Stats),
+	spec := kspr.FrontierSpec{
+		Attr:         req.Attr,
+		Min:          req.Min,
+		Max:          req.Max,
+		Steps:        steps,
+		Samples:      samples,
+		Seed:         req.Seed,
+		VolumeMetric: req.VolumeMetric,
 	}
-	resp.Points = make([]frontierPointWire, len(curve.Points))
-	for i, p := range curve.Points {
-		resp.Points[i] = frontierPointWire{
-			Value:   p.Value,
-			Delta:   p.Delta,
-			Impact:  p.Impact,
-			Regions: p.Regions,
-			Kept:    p.Kept,
-		}
-	}
-	if !req.NoCache {
-		s.cache.Put(key, resp)
-	}
-	s.metrics.AddWhatIf(uint64(curve.Stats.Probes), uint64(curve.Stats.Kept))
-	if info.Debug() {
-		resp.Trace = traceToWire(info)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return job[frontierResponse]{
+		key: fmt.Sprintf("%s@%d|whatif.frontier|f=%d|k=%d|a=%s|attr=%d|min=%x|max=%x|st=%d|n=%d|seed=%d|vm=%t",
+			snap.Name, snap.Generation, req.Focal, req.K, algo, req.Attr,
+			math.Float64bits(req.Min), math.Float64bits(req.Max), steps,
+			samples, req.Seed, req.VolumeMetric),
+		noCache: req.NoCache,
+		compute: func(ctx context.Context) (*entry[frontierResponse], error) {
+			curve, err := snap.DB.Frontier(req.Focal, req.K, spec, whatifOptions(ctx, algo)...)
+			if err != nil {
+				return nil, err
+			}
+			s.metrics.AddWhatIf(uint64(curve.Stats.Probes), uint64(curve.Stats.Kept))
+			resp := &frontierResponse{
+				Dataset:    snap.Name,
+				Generation: snap.Generation,
+				Focal:      curve.Focal,
+				Attr:       curve.Attr,
+				K:          curve.K,
+				Stats:      toStatsWire(curve.Stats),
+				Points:     make([]frontierPointWire, len(curve.Points)),
+			}
+			for i, p := range curve.Points {
+				resp.Points[i] = frontierPointWire(p)
+			}
+			return &entry[frontierResponse]{resp: resp, stats: resp.Stats}, nil
+		},
+	}, nil
 }

@@ -429,7 +429,8 @@ type ApproxResult = core.ApproxResult
 // uncertain set whose measure is at most epsilon times the preference
 // space. It implements the approximate processing the paper proposes as
 // future work (§8) and can be much faster than the exact algorithms when
-// the kSPR result has intricate boundaries.
+// the kSPR result has intricate boundaries. A non-finite epsilon is an
+// error; a non-positive one means the default, 0.01.
 func (db *DB) KSPRApprox(focalID, k int, epsilon float64) (*ApproxResult, error) {
 	return db.KSPRApproxCtx(context.Background(), focalID, k, epsilon)
 }

@@ -35,8 +35,9 @@ func TestOpenValidation(t *testing.T) {
 }
 
 // TestNonFiniteRejectedAtEveryEntryPoint pins the one finiteness rule:
-// NaN, +Inf and -Inf are each refused by Open, by ReadCSV, and as a focal
-// vector (KSPRVector, KSPRApproxVector, a KSPRBatch item).
+// NaN, +Inf and -Inf are each refused by Open, by ReadCSV, as a focal
+// vector (KSPRVector, KSPRApproxVector, a KSPRBatch item), and as the
+// approx accuracy target (KSPRApprox, KSPRApproxVector).
 func TestNonFiniteRejectedAtEveryEntryPoint(t *testing.T) {
 	db, err := Open([][]float64{{0.1, 0.9}, {0.8, 0.2}, {0.5, 0.5}})
 	if err != nil {
@@ -57,6 +58,12 @@ func TestNonFiniteRejectedAtEveryEntryPoint(t *testing.T) {
 			}
 			if _, err := db.KSPRApproxVector([]float64{bad, 0.5}, 1, 0.1); err == nil {
 				t.Error("KSPRApproxVector accepted a non-finite focal")
+			}
+			if _, err := db.KSPRApprox(0, 1, bad); err == nil {
+				t.Error("KSPRApprox accepted a non-finite epsilon")
+			}
+			if _, err := db.KSPRApproxVector([]float64{0.5, 0.5}, 1, bad); err == nil {
+				t.Error("KSPRApproxVector accepted a non-finite epsilon")
 			}
 			out, err := db.KSPRBatch([]BatchQuery{{FocalID: 0}, {FocalID: -1, Focal: []float64{bad, bad}}}, 1)
 			if err != nil {
